@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci build test vet emvet race emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke bench-baselines
+.PHONY: ci build test vet emvet race emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke perfbench-smoke bench-baselines
 
-ci: vet build race emvet emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke
+ci: vet build race emvet emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -84,6 +84,12 @@ jit-smoke:
 	mkdir -p .ci
 	$(GO) run ./cmd/embench -out .ci -baseline . jit > /dev/null
 	$(GO) run ./tools/jsoncheck .ci/BENCH_jit.json
+
+# The repository benchmark's own tests (generator oracle vs interpreter,
+# seed determinism, BENCHMARK.json agreement). perfbench is a nested
+# module, so the root `go test ./...` never reaches them.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
 
 # Regenerate the committed BENCH_*.json baselines (run after a deliberate
 # model change, then commit the diff).

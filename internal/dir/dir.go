@@ -4,13 +4,15 @@
 // behind by moves (§4.3); a crash in the middle of a chain orphans every
 // proxy pointing through the dead node. emdir replaces the chain as the
 // primary location mechanism with sharded ownership records — OID → (home
-// node, epoch) — replicated across a small replica set and updated by one
-// single-decree Paxos round per move commit. Each move of an object is its
-// own consensus instance, keyed by the (oid, epoch) slot the move's epoch
-// bump created, so decrees from different moves never collide and a decree
-// is immutable once chosen. After a crash/restart a locate is one shard
-// query instead of a forwarding-address walk; the chase survives only as
-// the degraded-mode fallback.
+// node, epoch) — replicated across a small replica set and updated by a
+// Paxos decree per move commit. Each move of an object is its own consensus
+// instance, keyed by the (oid, epoch) slot the move's epoch bump created,
+// so decrees from different moves never collide and a decree is immutable
+// once chosen. A decree round covers one slot, or several slots sharing a
+// replica set (a MoveGroup cohort) under one ballot; a one-slot round is
+// the classic single-decree synod. After a crash/restart a locate is one
+// shard query instead of a forwarding-address walk; the chase survives only
+// as the degraded-mode fallback.
 //
 // This package holds the pure protocol state machines — acceptor, learner
 // store, proposer — with no I/O and no time: the kernel drives message
@@ -242,31 +244,64 @@ const (
 	phaseDone
 )
 
-// Proposal is the proposer side of one decree: the source node of a move
-// drives it after the destination acknowledges the install. The kernel owns
-// message exchange and timeouts; this struct owns ballots, quorum counting
-// and value adoption.
-type Proposal struct {
-	Slot   Slot
-	Value  int32 // the home node this proposer wants recorded
-	Quorum int
+// Decree is one slot's desired record: the proposer wants the slot's object
+// recorded at Home.
+type Decree struct {
+	Slot
+	Home int32
+}
 
-	self     int32  // proposer node id, disambiguates ballots
-	Ballot   uint64 // current ballot, valid after Start
+// slotState is a proposal's per-slot state: the desired record plus the
+// highest accepted (ballot, home) the current round's promises reported.
+type slotState struct {
+	Decree
+	accBal  uint64
+	accNode int32
+}
+
+// Proposal is the proposer side of one decree round over one or more slots
+// sharing a shard replica set: a solo move's record, or a MoveGroup
+// cohort's records committing under a single ballot with one set of
+// prepare/accept messages instead of one round per member. Each slot still
+// has exactly one proposer (the move source that created it), so per-slot
+// safety reduces to the single-decree synod argument; a one-slot proposal
+// is exactly the classic synod. A replica promises or accepts only when
+// every slot passes its acceptor check, and a promise reports per-slot
+// accepted values so a retry after a partial earlier round adopts them slot
+// by slot. The kernel owns message exchange and timeouts; this struct owns
+// ballots, quorum counting and value adoption.
+type Proposal struct {
+	Quorum int
+	Ballot uint64 // current ballot, valid after Start
+
+	self     int32 // proposer node id, disambiguates ballots
 	attempt  uint32
 	maxSeen  uint64 // highest ballot observed in nacks
 	phase    int
 	promises int
 	accepts  int
-	accBal   uint64 // highest accepted ballot among promises
-	accNode  int32  // its value
 	progress uint64 // counts every reply that advanced the current round
+	slots    []slotState
 }
 
-// NewProposal builds a proposal for slot with the given desired value.
-func NewProposal(slot Slot, value, self int32, quorum int) *Proposal {
-	return &Proposal{Slot: slot, Value: value, Quorum: quorum, self: self, accNode: -1}
+// NewProposal builds a proposal for the given decrees, sorted into
+// canonical slot order (the order every replica and every rerun observes).
+func NewProposal(ds []Decree, self int32, quorum int) *Proposal {
+	p := &Proposal{Quorum: quorum, self: self, slots: make([]slotState, len(ds))}
+	for i, d := range ds {
+		p.slots[i] = slotState{Decree: d, accNode: -1}
+	}
+	if len(ds) > 1 {
+		sort.Slice(p.slots, func(i, j int) bool { return p.slots[i].Slot.Less(p.slots[j].Slot) })
+	}
+	return p
 }
+
+// Len reports how many slots the proposal decrees.
+func (p *Proposal) Len() int { return len(p.slots) }
+
+// Slot returns slot i in canonical order; slot 0 names the proposal.
+func (p *Proposal) Slot(i int) Slot { return p.slots[i].Slot }
 
 // Start begins the next prepare round and returns its ballot. Ballots embed
 // the proposer id so concurrent proposers never collide, and each restart
@@ -286,8 +321,10 @@ func (p *Proposal) Start() uint64 {
 	p.phase = phasePrepare
 	p.promises = 0
 	p.accepts = 0
-	p.accBal = 0
-	p.accNode = -1
+	for i := range p.slots {
+		p.slots[i].accBal = 0
+		p.slots[i].accNode = -1
+	}
 	return p.Ballot
 }
 
@@ -303,22 +340,28 @@ func (p *Proposal) Progress() uint64 { return p.progress }
 // Done reports whether the decree has been chosen.
 func (p *Proposal) Done() bool { return p.phase == phaseDone }
 
-// OnPromise processes one promise (or nack) for the given ballot. It
-// returns true exactly once, when the quorum of promises is reached and the
-// proposer should broadcast accept(Ballot, ChosenValue).
-func (p *Proposal) OnPromise(ballot uint64, ok bool, accBal uint64, accNode int32, promised uint64) bool {
+// OnPromise processes one promise (or nack) for the given ballot. A promise
+// covers n slots, and acc(i) reports the replica's accepted (ballot, home)
+// for slot i in canonical order; a promise whose slot count differs from
+// the proposal's is malformed and ignored. It returns true exactly once,
+// when the quorum of promises is reached and the proposer should broadcast
+// accept(Ballot, Chosen(i) for every slot).
+func (p *Proposal) OnPromise(ballot uint64, ok bool, promised uint64, n int, acc func(i int) (uint64, int32)) bool {
 	if !ok {
 		if promised > p.maxSeen {
 			p.maxSeen = promised
 		}
 		return false
 	}
-	if p.phase != phasePrepare || ballot != p.Ballot {
-		return false // stale round
+	if p.phase != phasePrepare || ballot != p.Ballot || n != len(p.slots) {
+		return false // stale round or malformed reply
 	}
-	if accBal > p.accBal {
-		p.accBal = accBal
-		p.accNode = accNode
+	for i := range p.slots {
+		s := &p.slots[i]
+		if accBal, accNode := acc(i); accBal > s.accBal {
+			s.accBal = accBal
+			s.accNode = accNode
+		}
 	}
 	p.progress++
 	p.promises++
@@ -329,13 +372,14 @@ func (p *Proposal) OnPromise(ballot uint64, ok bool, accBal uint64, accNode int3
 	return true
 }
 
-// ChosenValue is the value to propose in the accept phase: any value a
-// quorum member already accepted wins over our own (the synod invariant).
-func (p *Proposal) ChosenValue() int32 {
-	if p.accBal > 0 && p.accNode >= 0 {
-		return p.accNode
+// Chosen is slot i's value for the accept phase: any value a quorum member
+// already accepted wins over our own (the synod invariant), slot by slot.
+func (p *Proposal) Chosen(i int) int32 {
+	s := &p.slots[i]
+	if s.accBal > 0 && s.accNode >= 0 {
+		return s.accNode
 	}
-	return p.Value
+	return s.Home
 }
 
 // OnAccepted processes one accepted (or nack) reply. It returns true
@@ -356,155 +400,5 @@ func (p *Proposal) OnAccepted(ballot uint64, ok bool, promised uint64) bool {
 		return false
 	}
 	p.phase = phaseDone
-	return true
-}
-
-// GroupProposal drives one multi-object decree round: a batched MoveGroup
-// cohort's location records, all sharing one shard replica set, commit
-// under a single ballot with one set of prepare/accept messages instead of
-// one round per member. Each slot still has exactly one proposer (the move
-// source that created it), so per-slot safety reduces to the single-decree
-// argument; the group exists purely to amortize the protocol messages. A
-// replica promises or accepts a group only when every member slot passes
-// its acceptor check, and the prepare reply carries per-slot accepted
-// values so a retry after a partial earlier round adopts them slot by slot.
-type GroupProposal struct {
-	Slots  []Slot
-	Values []int32 // desired home per slot, parallel to Slots
-	Quorum int
-
-	self     int32
-	Ballot   uint64
-	attempt  uint32
-	maxSeen  uint64
-	phase    int
-	promises int
-	accepts  int
-	accBals  []uint64 // highest accepted ballot seen per slot
-	accVals  []int32  // its value
-	progress uint64
-}
-
-// NewGroupProposal builds a group proposal over the given slots and homes,
-// sorted into canonical slot order (the order every replica and every
-// rerun observes).
-func NewGroupProposal(slots []Slot, values []int32, self int32, quorum int) *GroupProposal {
-	idx := make([]int, len(slots))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return slots[idx[i]].Less(slots[idx[j]]) })
-	ss := make([]Slot, len(slots))
-	vs := make([]int32, len(slots))
-	for i, k := range idx {
-		ss[i] = slots[k]
-		vs[i] = values[k]
-	}
-	g := &GroupProposal{Slots: ss, Values: vs, Quorum: quorum, self: self}
-	g.accBals = make([]uint64, len(ss))
-	g.accVals = make([]int32, len(ss))
-	for i := range g.accVals {
-		g.accVals[i] = -1
-	}
-	return g
-}
-
-// Start begins the next prepare round and returns its ballot (same ballot
-// scheme as Proposal.Start).
-func (g *GroupProposal) Start() uint64 {
-	for {
-		g.attempt++
-		b := uint64(g.attempt)<<16 | uint64(uint16(g.self+1))
-		if b > g.maxSeen {
-			g.Ballot = b
-			break
-		}
-		if g.maxSeen>>16 > uint64(g.attempt) {
-			g.attempt = uint32(g.maxSeen >> 16)
-		}
-	}
-	g.phase = phasePrepare
-	g.promises = 0
-	g.accepts = 0
-	for i := range g.accBals {
-		g.accBals[i] = 0
-		g.accVals[i] = -1
-	}
-	return g.Ballot
-}
-
-// Attempt reports how many prepare rounds have started.
-func (g *GroupProposal) Attempt() int { return int(g.attempt) }
-
-// Progress counts replies that advanced the current round (see
-// Proposal.Progress).
-func (g *GroupProposal) Progress() uint64 { return g.progress }
-
-// Done reports whether the group decree has been chosen.
-func (g *GroupProposal) Done() bool { return g.phase == phaseDone }
-
-// OnPromise processes one group promise (or nack). accBals/accVals are the
-// replica's per-slot accepted state, parallel to Slots; nil on a nack.
-// Returns true exactly once, at promise quorum.
-func (g *GroupProposal) OnPromise(ballot uint64, ok bool, accBals []uint64, accVals []int32, promised uint64) bool {
-	if !ok {
-		if promised > g.maxSeen {
-			g.maxSeen = promised
-		}
-		return false
-	}
-	if g.phase != phasePrepare || ballot != g.Ballot {
-		return false
-	}
-	if len(accBals) != len(g.Slots) || len(accVals) != len(g.Slots) {
-		return false // malformed reply; ignore
-	}
-	for i := range g.Slots {
-		if accBals[i] > g.accBals[i] {
-			g.accBals[i] = accBals[i]
-			g.accVals[i] = accVals[i]
-		}
-	}
-	g.progress++
-	g.promises++
-	if g.promises < g.Quorum {
-		return false
-	}
-	g.phase = phaseAccept
-	return true
-}
-
-// ChosenValues is the per-slot value vector for the accept phase: any
-// value a quorum member already accepted wins over our own, slot by slot.
-func (g *GroupProposal) ChosenValues() []int32 {
-	out := make([]int32, len(g.Slots))
-	for i := range g.Slots {
-		if g.accBals[i] > 0 && g.accVals[i] >= 0 {
-			out[i] = g.accVals[i]
-			continue
-		}
-		out[i] = g.Values[i]
-	}
-	return out
-}
-
-// OnAccepted processes one group accepted (or nack) reply. Returns true
-// exactly once, at accept quorum.
-func (g *GroupProposal) OnAccepted(ballot uint64, ok bool, promised uint64) bool {
-	if !ok {
-		if promised > g.maxSeen {
-			g.maxSeen = promised
-		}
-		return false
-	}
-	if g.phase != phaseAccept || ballot != g.Ballot {
-		return false
-	}
-	g.progress++
-	g.accepts++
-	if g.accepts < g.Quorum {
-		return false
-	}
-	g.phase = phaseDone
 	return true
 }

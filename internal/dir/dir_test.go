@@ -82,19 +82,35 @@ func TestStoreLearnMonotoneEpoch(t *testing.T) {
 	}
 }
 
+// one is a one-slot decree list: the classic single-decree synod.
+func one(o oid.OID, epoch uint32, home int32) []Decree {
+	return []Decree{{Slot: Slot{OID: o, Epoch: epoch}, Home: home}}
+}
+
+// promise feeds one positive promise carrying the replica's per-slot
+// accepted state (parallel to the proposal's canonical slots).
+func promise(p *Proposal, ballot uint64, bals []uint64, nodes []int32) bool {
+	return p.OnPromise(ballot, true, ballot, len(bals), func(i int) (uint64, int32) { return bals[i], nodes[i] })
+}
+
+// nack feeds one negative promise blocked at ballot promised.
+func nack(p *Proposal, ballot, promised uint64) bool {
+	return p.OnPromise(ballot, false, promised, p.Len(), func(int) (uint64, int32) { return 0, -1 })
+}
+
 func TestProposalHappyPath(t *testing.T) {
-	p := NewProposal(Slot{OID: 5, Epoch: 2}, 3, 0, 2)
+	p := NewProposal(one(5, 2, 3), 0, 2)
 	b := p.Start()
 	if b == 0 {
 		t.Fatalf("zero ballot")
 	}
-	if p.OnPromise(b, true, 0, -1, 0) {
+	if promise(p, b, []uint64{0}, []int32{-1}) {
 		t.Fatalf("quorum after one promise")
 	}
-	if !p.OnPromise(b, true, 0, -1, 0) {
+	if !promise(p, b, []uint64{0}, []int32{-1}) {
 		t.Fatalf("no quorum after two promises")
 	}
-	if v := p.ChosenValue(); v != 3 {
+	if v := p.Chosen(0); v != 3 {
 		t.Fatalf("chose %d, want own value 3", v)
 	}
 	if p.OnAccepted(b, true, 0) {
@@ -109,20 +125,20 @@ func TestProposalHappyPath(t *testing.T) {
 }
 
 func TestProposalAdoptsAcceptedValue(t *testing.T) {
-	p := NewProposal(Slot{OID: 5, Epoch: 2}, 3, 0, 2)
+	p := NewProposal(one(5, 2, 3), 0, 2)
 	b := p.Start()
-	p.OnPromise(b, true, 7, 1, 0) // a replica already accepted value 1 at ballot 7
-	p.OnPromise(b, true, 0, -1, 0)
-	if v := p.ChosenValue(); v != 1 {
+	promise(p, b, []uint64{7}, []int32{1}) // a replica already accepted value 1 at ballot 7
+	promise(p, b, []uint64{0}, []int32{-1})
+	if v := p.Chosen(0); v != 1 {
 		t.Fatalf("chose %d, want adopted value 1", v)
 	}
 }
 
 func TestProposalRestartJumpsNacks(t *testing.T) {
-	p := NewProposal(Slot{OID: 5, Epoch: 2}, 3, 0, 2)
+	p := NewProposal(one(5, 2, 3), 0, 2)
 	b := p.Start()
 	// Nacked: someone promised a much higher ballot.
-	if p.OnPromise(b, false, 0, -1, 99<<16) {
+	if nack(p, b, 99<<16) {
 		t.Fatalf("nack advanced phase")
 	}
 	b2 := p.Start()
@@ -130,10 +146,10 @@ func TestProposalRestartJumpsNacks(t *testing.T) {
 		t.Fatalf("restart ballot %d did not jump past nacked ballot", b2)
 	}
 	// Stale replies from the old round are ignored.
-	if p.OnPromise(b, true, 0, -1, 0) {
+	if promise(p, b, []uint64{0}, []int32{-1}) {
 		t.Fatalf("stale-round promise counted")
 	}
-	if !p.OnPromise(b2, true, 0, -1, 0) || p.Done() {
+	if !promise(p, b2, []uint64{0}, []int32{-1}) || p.Done() {
 		// first promise of round 2; need one more
 		if p.Done() {
 			t.Fatalf("done too early")
@@ -142,8 +158,8 @@ func TestProposalRestartJumpsNacks(t *testing.T) {
 }
 
 func TestProposalDistinctBallotsPerNode(t *testing.T) {
-	a := NewProposal(Slot{OID: 1, Epoch: 1}, 0, 0, 1).Start()
-	b := NewProposal(Slot{OID: 1, Epoch: 1}, 0, 1, 1).Start()
+	a := NewProposal(one(1, 1, 0), 0, 1).Start()
+	b := NewProposal(one(1, 1, 0), 1, 1).Start()
 	if a == b {
 		t.Fatalf("two proposers issued the same ballot %d", a)
 	}
@@ -238,73 +254,76 @@ func TestPlaceReplicasPrefersLowLatencyPeers(t *testing.T) {
 	}
 }
 
-func TestGroupProposalSortsAndChooses(t *testing.T) {
+func TestProposalMultiSlotSortsAndChooses(t *testing.T) {
 	// Slots arrive unsorted; the proposal canonicalizes them with their
-	// values kept parallel.
-	slots := []Slot{{OID: 9, Epoch: 1}, {OID: 3, Epoch: 2}, {OID: 3, Epoch: 1}}
-	vals := []int32{2, 3, 1}
-	g := NewGroupProposal(slots, vals, 0, 2)
+	// homes kept alongside.
+	p := NewProposal([]Decree{
+		{Slot: Slot{OID: 9, Epoch: 1}, Home: 2},
+		{Slot: Slot{OID: 3, Epoch: 2}, Home: 3},
+		{Slot: Slot{OID: 3, Epoch: 1}, Home: 1},
+	}, 0, 2)
 	wantSlots := []Slot{{OID: 3, Epoch: 1}, {OID: 3, Epoch: 2}, {OID: 9, Epoch: 1}}
 	wantVals := []int32{1, 3, 2}
+	if p.Len() != len(wantSlots) {
+		t.Fatalf("Len = %d", p.Len())
+	}
 	for i := range wantSlots {
-		if g.Slots[i] != wantSlots[i] || g.Values[i] != wantVals[i] {
-			t.Fatalf("canonical order %v %v", g.Slots, g.Values)
+		if p.Slot(i) != wantSlots[i] || p.Chosen(i) != wantVals[i] {
+			t.Fatalf("slot %d = %v home %d, want %v home %d", i, p.Slot(i), p.Chosen(i), wantSlots[i], wantVals[i])
 		}
 	}
-	b := g.Start()
+	b := p.Start()
 	none := []uint64{0, 0, 0}
 	noneV := []int32{-1, -1, -1}
-	if g.OnPromise(b, true, none, noneV, 0) {
+	if promise(p, b, none, noneV) {
 		t.Fatalf("quorum after one promise")
 	}
-	if !g.OnPromise(b, true, none, noneV, 0) {
+	if !promise(p, b, none, noneV) {
 		t.Fatalf("no quorum after two promises")
 	}
-	cv := g.ChosenValues()
 	for i := range wantVals {
-		if cv[i] != wantVals[i] {
-			t.Fatalf("chose %v, want own values %v", cv, wantVals)
+		if p.Chosen(i) != wantVals[i] {
+			t.Fatalf("slot %d chose %d, want own value %d", i, p.Chosen(i), wantVals[i])
 		}
 	}
-	if g.OnAccepted(b, true, 0) {
+	if p.OnAccepted(b, true, 0) {
 		t.Fatalf("chosen after one accept")
 	}
-	if !g.OnAccepted(b, true, 0) || !g.Done() {
+	if !p.OnAccepted(b, true, 0) || !p.Done() {
 		t.Fatalf("not chosen after quorum accepts")
 	}
 }
 
-func TestGroupProposalAdoptsPerSlot(t *testing.T) {
-	g := NewGroupProposal([]Slot{{OID: 1, Epoch: 1}, {OID: 2, Epoch: 1}}, []int32{3, 3}, 0, 2)
-	b := g.Start()
+func TestProposalMultiSlotAdoptsPerSlot(t *testing.T) {
+	p := NewProposal([]Decree{{Slot: Slot{OID: 1, Epoch: 1}, Home: 3}, {Slot: Slot{OID: 2, Epoch: 1}, Home: 3}}, 0, 2)
+	b := p.Start()
 	// One replica already accepted value 1 for the second slot at ballot 7.
-	g.OnPromise(b, true, []uint64{0, 7}, []int32{-1, 1}, 0)
-	g.OnPromise(b, true, []uint64{0, 0}, []int32{-1, -1}, 0)
-	cv := g.ChosenValues()
-	if cv[0] != 3 || cv[1] != 1 {
-		t.Fatalf("chose %v, want [3 1]", cv)
+	promise(p, b, []uint64{0, 7}, []int32{-1, 1})
+	promise(p, b, []uint64{0, 0}, []int32{-1, -1})
+	if p.Chosen(0) != 3 || p.Chosen(1) != 1 {
+		t.Fatalf("chose [%d %d], want [3 1]", p.Chosen(0), p.Chosen(1))
 	}
 }
 
-func TestGroupProposalNackAndRestart(t *testing.T) {
-	g := NewGroupProposal([]Slot{{OID: 1, Epoch: 1}, {OID: 2, Epoch: 1}}, []int32{3, 3}, 0, 2)
-	b := g.Start()
-	if g.OnPromise(b, false, nil, nil, 50<<16) {
+func TestProposalMultiSlotNackAndRestart(t *testing.T) {
+	p := NewProposal([]Decree{{Slot: Slot{OID: 1, Epoch: 1}, Home: 3}, {Slot: Slot{OID: 2, Epoch: 1}, Home: 3}}, 0, 2)
+	b := p.Start()
+	if nack(p, b, 50<<16) {
 		t.Fatalf("nack advanced phase")
 	}
-	b2 := g.Start()
+	b2 := p.Start()
 	if b2 <= 50<<16 {
 		t.Fatalf("restart ballot %d did not jump past nack", b2)
 	}
 	// Stale and malformed replies are ignored.
-	if g.OnPromise(b, true, []uint64{0, 0}, []int32{-1, -1}, 0) {
+	if promise(p, b, []uint64{0, 0}, []int32{-1, -1}) {
 		t.Fatalf("stale-round promise counted")
 	}
-	if g.OnPromise(b2, true, []uint64{0}, []int32{-1}, 0) {
+	if promise(p, b2, []uint64{0}, []int32{-1}) {
 		t.Fatalf("short reply counted")
 	}
-	g.OnPromise(b2, true, []uint64{0, 0}, []int32{-1, -1}, 0)
-	if !g.OnPromise(b2, true, []uint64{0, 0}, []int32{-1, -1}, 0) {
+	promise(p, b2, []uint64{0, 0}, []int32{-1, -1})
+	if !promise(p, b2, []uint64{0, 0}, []int32{-1, -1}) {
 		t.Fatalf("no quorum after two fresh promises")
 	}
 }

@@ -41,12 +41,9 @@ type DirResult struct {
 	DecreeBytes   uint64  // wire bytes of all decree protocol messages
 }
 
-// dirDecreeKinds are the wire kinds whose msg_bytes add up to DecreeBytes —
-// the single-slot round plus the batched group round.
-var dirDecreeKinds = []string{
-	"dirprepare", "dirpromise", "diraccept", "diraccepted", "dirlearn",
-	"dirgprepare", "dirgpromise", "dirgaccept", "dirgaccepted", "dirglearn",
-}
+// dirDecreeKinds are the wire kinds whose msg_bytes add up to DecreeBytes:
+// the decree round's five messages, one-slot and multi-slot alike.
+var dirDecreeKinds = []string{"dirprepare", "dirpromise", "diraccept", "diraccepted", "dirlearn"}
 
 // dirWorkload is the study's fixed tour: three couriers bouncing between
 // nodes 0-2 with an invocation after every move, then fifteen repeat

@@ -1,14 +1,16 @@
 // Replicated object directory (emdir), active only when Config.DirReplicas
-// > 0. Every committed move drives one single-decree Paxos round (see
-// internal/dir) recording the object's new home across the replicas of its
-// shard; locates and stale-proxy re-resolution consult the directory first,
-// and a per-node background compactor rewrites chained proxies so
-// forwarding chains shrink to ≤1 hop. All directory traffic travels as
-// ordinary protocol messages through sendMsg — charged, observed and
-// fault-injected like any other kernel traffic — except that a node acting
-// as a replica of its own query answers locally for just the syscall
-// charge. Directory-off runs take none of these code paths: no messages,
-// metrics, events or timers.
+// > 0. Every committed move drives a Paxos decree round (see internal/dir)
+// recording the object's new home across the replicas of its shard; a
+// MoveGroup cohort's members whose shards share a replica set commit in one
+// multi-slot round, and every other move in a one-slot round — one protocol
+// with one driver, timers and handlers for both. Locates and stale-proxy
+// re-resolution consult the directory first, and a per-node background
+// compactor rewrites chained proxies so forwarding chains shrink to ≤1 hop.
+// All directory traffic travels as ordinary protocol messages through
+// sendMsg — charged, observed and fault-injected like any other kernel
+// traffic — except that a node acting as a replica of its own query answers
+// locally for just the syscall charge. Directory-off runs take none of
+// these code paths: no messages, metrics, events or timers.
 //
 // Ordering with the two-phase move commit (twophase.go): under chaos the
 // source proposes the decree only after the destination's positive MoveAck,
@@ -122,52 +124,65 @@ func (n *Node) dirSend(dst int, p wire.Payload) {
 
 // ------------------------------------------------------------- proposer
 
-// dirProposal is the kernel side of one decree the local node is driving:
-// the pure synod state plus replica fan-out and completion callbacks.
+// dirProposal is the kernel side of one decree round the local node is
+// driving — a solo move's slot, or a MoveGroup cohort's slots sharing one
+// shard replica set: the pure synod state plus replica fan-out and the
+// completion callback. Its first slot in canonical order keys it in
+// dirProps and names it on the wire.
 type dirProposal struct {
 	p        *dir.Proposal
 	replicas []int
-	// done callbacks fire once, when the decree resolves (chosen or
-	// degraded); the move commit gates on them under chaos.
-	done []func(chosen bool)
+	// more are the extra slots in wire form, and vals the same slots with
+	// the current accept phase's values; both nil for a one-slot decree.
+	more *[]wire.DirSlotRef
+	vals *[]wire.DirSlotNode
+	// done, if set, fires once, when the decree resolves (chosen or
+	// degraded); the move commit gates on it under chaos.
+	done func(chosen bool)
 	// stalledTimer: the round timer fired while this node was down;
 	// restart re-arms it.
 	stalledTimer bool
 }
 
-// dirPropose starts (or joins) the decree recording object o at home as of
-// epoch. done, if non-nil, fires when the decree resolves.
-func (n *Node) dirPropose(o oid.OID, epoch uint32, home int32, done func(chosen bool)) {
-	slot := dir.Slot{OID: o, Epoch: epoch}
-	if dp, ok := n.dirProps[slot]; ok {
-		if done != nil {
-			dp.done = append(dp.done, done)
-		}
-		return
-	}
+// dirDecree is the decree recording tx's object at its destination as of
+// the epoch its move created.
+func dirDecree(tx *moveTxn) dir.Decree {
+	return dir.Decree{Slot: dir.Slot{OID: tx.obj.OID, Epoch: tx.obj.Epoch}, Home: int32(tx.dest)}
+}
+
+// dirPropose starts the decree round recording each ds[i]'s object at its
+// home. Every slot must map to the same shard replica set (dirProposeCohort
+// guarantees it). done, if non-nil, fires when the decree resolves.
+func (n *Node) dirPropose(ds []dir.Decree, done func(chosen bool)) {
 	dp := &dirProposal{
-		p:        dir.NewProposal(slot, home, int32(n.ID), n.cluster.dirCfg.Quorum()),
-		replicas: n.dirReplicasOf(o),
+		p:        dir.NewProposal(ds, int32(n.ID), n.cluster.dirCfg.Quorum()),
+		replicas: n.dirReplicasOf(ds[0].OID),
+		done:     done,
 	}
-	if done != nil {
-		dp.done = append(dp.done, done)
+	if len(ds) > 1 {
+		more := make([]wire.DirSlotRef, len(ds)-1)
+		for i := range more {
+			s := dp.p.Slot(i + 1)
+			more[i] = wire.DirSlotRef{Target: s.OID, Epoch: s.Epoch}
+		}
+		dp.more = &more
 	}
-	n.dirProps[slot] = dp
+	n.dirProps[dp.p.Slot(0)] = dp
 	n.dirPrepareRound(dp)
 }
 
 // dirPrepareRound starts the next prepare round: a fresh ballot to every
-// replica of the slot's shard. With a single-replica set containing this
+// replica of the slots' shard. With a single-replica set containing this
 // node the whole decree resolves synchronously inside the first dirSend, so
 // the fan-out re-checks that the proposal is still the live one.
 func (n *Node) dirPrepareRound(dp *dirProposal) {
-	slot := dp.p.Slot
-	ballot := dp.p.Start()
+	key := dp.p.Slot(0)
+	msg := &wire.DirPrepare{Target: key.OID, Epoch: key.Epoch, Ballot: dp.p.Start(), More: dp.more}
 	for _, r := range dp.replicas {
-		if n.dirProps[slot] != dp {
+		if n.dirProps[key] != dp {
 			return
 		}
-		n.dirSend(r, &wire.DirPrepare{Target: slot.OID, Epoch: slot.Epoch, Ballot: ballot})
+		n.dirSend(r, msg)
 	}
 	n.armDirTimer(dp)
 }
@@ -178,7 +193,7 @@ func (n *Node) dirPrepareRound(dp *dirProposal) {
 // a silent window means the round is stuck, so the proposer retries with a
 // higher ballot, up to dirMaxAttempts silent windows, then degrades: the
 // decree is abandoned, callers fall back to forwarding addresses, and the
-// record heals on the object's next move.
+// records heal on the objects' next moves.
 func (n *Node) armDirTimer(dp *dirProposal) {
 	if !n.chaosOn() {
 		return
@@ -186,7 +201,7 @@ func (n *Node) armDirTimer(dp *dirProposal) {
 	attempt := dp.p.Attempt()
 	progress := dp.p.Progress()
 	n.sched.At(n.cluster.Chaos.CommitWindow(), func() {
-		if n.dirProps[dp.p.Slot] != dp || dp.p.Done() {
+		if n.dirProps[dp.p.Slot(0)] != dp || dp.p.Done() {
 			return
 		}
 		if !n.Up {
@@ -201,108 +216,149 @@ func (n *Node) armDirTimer(dp *dirProposal) {
 			return
 		}
 		if attempt >= dirMaxAttempts {
-			n.dirResolve(dp, false, "decree attempts exhausted")
+			n.dirResolve(dp, false)
 			return
 		}
 		n.dirPrepareRound(dp)
 	})
 }
 
-// dirResolve finishes a decree (chosen or degraded) and fires the waiters.
-func (n *Node) dirResolve(dp *dirProposal, chosen bool, reason string) {
-	delete(n.dirProps, dp.p.Slot)
+// dirResolve finishes a decree (chosen or degraded) and fires the waiter.
+func (n *Node) dirResolve(dp *dirProposal, chosen bool) {
+	delete(n.dirProps, dp.p.Slot(0))
 	if !chosen {
-		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
-			Kind: obs.EvDirDegraded, Obj: uint32(dp.p.Slot.OID), Str: reason})
-		n.cluster.Rec.Metrics().Add("dir_degraded", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+		for i := 0; i < dp.p.Len(); i++ {
+			n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
+				Kind: obs.EvDirDegraded, Obj: uint32(dp.p.Slot(i).OID), Str: "decree attempts exhausted"})
+		}
+		n.cluster.Rec.Metrics().Add("dir_degraded", obs.NodeLabels(n.ID, n.Spec.ID.String()), uint64(dp.p.Len()))
 	}
-	done := dp.done
-	dp.done = nil
-	for _, f := range done {
-		f(chosen)
+	if done := dp.done; done != nil {
+		dp.done = nil
+		done(chosen)
 	}
 }
 
-// recvDirPromise counts one promise; on quorum it broadcasts the accept.
+// recvDirPromise counts one promise; on quorum it broadcasts the accept
+// with the per-slot values.
 func (n *Node) recvDirPromise(src int, p *wire.DirPromise) {
-	slot := dir.Slot{OID: p.Target, Epoch: p.Epoch}
-	dp := n.dirProps[slot]
+	key := dir.Slot{OID: p.Target, Epoch: p.Epoch}
+	dp := n.dirProps[key]
 	if dp == nil || dp.p.Done() {
 		return
 	}
-	if !dp.p.OnPromise(p.Ballot, p.Ok, p.AccBallot, p.AccNode, p.Promised) {
+	if !dp.p.OnPromise(p.Ballot, p.Ok, p.Promised, p.Len(), p.Acc) {
 		return
 	}
-	v := dp.p.ChosenValue()
+	if dp.more != nil {
+		vals := make([]wire.DirSlotNode, len(*dp.more))
+		for i, s := range *dp.more {
+			vals[i] = wire.DirSlotNode{Target: s.Target, Epoch: s.Epoch, Node: dp.p.Chosen(i + 1)}
+		}
+		dp.vals = &vals
+	}
+	msg := &wire.DirAccept{Target: key.OID, Epoch: key.Epoch, Ballot: dp.p.Ballot,
+		Node: dp.p.Chosen(0), More: dp.vals}
 	for _, r := range dp.replicas {
-		if n.dirProps[slot] != dp {
+		if n.dirProps[key] != dp {
 			return
 		}
-		n.dirSend(r, &wire.DirAccept{Target: slot.OID, Epoch: slot.Epoch,
-			Ballot: dp.p.Ballot, Node: v})
+		n.dirSend(r, msg)
 	}
 }
 
-// recvDirAccepted counts one accept; on quorum the decree is chosen: the
-// proposer announces it to every replica and releases the waiters.
+// recvDirAccepted counts one accept; on quorum every slot's decree is
+// chosen: the proposer announces them to every replica and releases the
+// waiter.
 func (n *Node) recvDirAccepted(src int, p *wire.DirAccepted) {
-	slot := dir.Slot{OID: p.Target, Epoch: p.Epoch}
-	dp := n.dirProps[slot]
+	key := dir.Slot{OID: p.Target, Epoch: p.Epoch}
+	dp := n.dirProps[key]
 	if dp == nil {
 		return
 	}
 	if !dp.p.OnAccepted(p.Ballot, p.Ok, p.Promised) {
 		return
 	}
-	v := dp.p.ChosenValue()
-	lbl := obs.NodeLabels(n.ID, n.Spec.ID.String())
-	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
-		Kind: obs.EvDirDecree, Obj: uint32(slot.OID), A: uint64(slot.Epoch), B: uint64(v)})
-	n.cluster.Rec.Metrics().Add("dir_decrees", lbl, 1)
-	n.cluster.Rec.Metrics().Add("dir_decree_rounds", lbl, uint64(dp.p.Attempt()))
-	n.dirInvalidateLease(slot.OID, slot.Epoch)
-	for _, r := range dp.replicas {
-		n.dirSend(r, &wire.DirLearn{Target: slot.OID, Epoch: slot.Epoch, Node: v})
+	for i := 0; i < dp.p.Len(); i++ {
+		s := dp.p.Slot(i)
+		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
+			Kind: obs.EvDirDecree, Obj: uint32(s.OID), A: uint64(s.Epoch), B: uint64(dp.p.Chosen(i))})
+		n.dirInvalidateLease(s.OID, s.Epoch)
 	}
-	n.dirResolve(dp, true, "")
+	lbl := obs.NodeLabels(n.ID, n.Spec.ID.String())
+	m := n.cluster.Rec.Metrics()
+	m.Add("dir_decrees", lbl, uint64(dp.p.Len()))
+	m.Add("dir_decree_rounds", lbl, uint64(dp.p.Attempt()))
+	if dp.p.Len() > 1 {
+		m.Add("dir_group_decrees", lbl, 1)
+		m.Add("dir_group_slots", lbl, uint64(dp.p.Len()))
+	}
+	learn := &wire.DirLearn{Target: key.OID, Epoch: key.Epoch, Node: dp.p.Chosen(0), More: dp.vals}
+	for _, r := range dp.replicas {
+		n.dirSend(r, learn)
+	}
+	n.dirResolve(dp, true)
 }
 
 // ------------------------------------------------------------- replica
 
-// recvDirPrepare answers a prepare from this node's acceptor state.
+// recvDirPrepare answers a prepare from this node's acceptor state: the
+// replica promises only if every slot promises the ballot. Slots promised
+// before a blocking one keep their (higher) promise — promising more never
+// violates safety, and the proposer's retry ballot will clear the bar
+// everywhere. Promised is the highest ballot any slot holds for: the
+// ballot itself on success, the blocker on a nack.
 func (n *Node) recvDirPrepare(src int, p *wire.DirPrepare) {
-	slot := dir.Slot{OID: p.Target, Epoch: p.Epoch}
-	a := n.dirAcc[slot]
-	if a == nil {
-		a = &dir.Acceptor{AccNode: -1}
-		n.dirAcc[slot] = a
+	r := &wire.DirPromise{Target: p.Target, Epoch: p.Epoch, Ballot: p.Ballot}
+	r.Ok, r.Promised, r.AccBallot, r.AccNode = n.dirAcceptor(dir.Slot{OID: p.Target, Epoch: p.Epoch}).Prepare(p.Ballot)
+	if more := p.Extra(); len(more) > 0 {
+		accs := make([]wire.DirSlotAcc, len(more))
+		for i, s := range more {
+			ok, promised, accBal, accNode := n.dirAcceptor(dir.Slot{OID: s.Target, Epoch: s.Epoch}).Prepare(p.Ballot)
+			r.Ok = r.Ok && ok
+			if promised > r.Promised {
+				r.Promised = promised
+			}
+			accs[i] = wire.DirSlotAcc{AccBallot: accBal, AccNode: accNode}
+		}
+		r.More = &accs
 	}
-	ok, promised, accBal, accNode := a.Prepare(p.Ballot)
-	n.dirSend(src, &wire.DirPromise{Target: p.Target, Epoch: p.Epoch, Ballot: p.Ballot,
-		Ok: ok, Promised: promised, AccBallot: accBal, AccNode: accNode})
+	n.dirSend(src, r)
 }
 
-// recvDirAccept answers an accept from this node's acceptor state.
+// recvDirAccept answers an accept from this node's acceptor state: every
+// slot must accept for the replica to accept (partial accepts are safe — a
+// slot's value can only be adopted by this same proposer's retry).
 func (n *Node) recvDirAccept(src int, p *wire.DirAccept) {
-	slot := dir.Slot{OID: p.Target, Epoch: p.Epoch}
-	a := n.dirAcc[slot]
-	if a == nil {
-		a = &dir.Acceptor{AccNode: -1}
-		n.dirAcc[slot] = a
+	ok, promised := n.dirAcceptor(dir.Slot{OID: p.Target, Epoch: p.Epoch}).Accept(p.Ballot, p.Node)
+	for _, s := range p.Extra() {
+		sok, sp := n.dirAcceptor(dir.Slot{OID: s.Target, Epoch: s.Epoch}).Accept(p.Ballot, s.Node)
+		ok = ok && sok
+		if sp > promised {
+			promised = sp
+		}
 	}
-	ok, promised := a.Accept(p.Ballot, p.Node)
 	n.dirSend(src, &wire.DirAccepted{Target: p.Target, Epoch: p.Epoch, Ballot: p.Ballot,
 		Ok: ok, Promised: promised})
 }
 
-// recvDirLearn applies a chosen decree to this replica's record store. The
-// slot is decided, so its acceptor scratch state retires; each move of one
-// object uses a fresh slot, and only the move's source proposes for it, so
-// the slot can never be reopened.
+// recvDirLearn applies a chosen decree to this replica's record store, slot
+// by slot.
 func (n *Node) recvDirLearn(src int, p *wire.DirLearn) {
-	n.dirStore.Learn(p.Target, p.Node, p.Epoch)
-	delete(n.dirAcc, dir.Slot{OID: p.Target, Epoch: p.Epoch})
-	n.dirInvalidateLease(p.Target, p.Epoch)
+	n.dirLearn(p.Target, p.Epoch, p.Node)
+	for _, s := range p.Extra() {
+		n.dirLearn(s.Target, s.Epoch, s.Node)
+	}
+}
+
+// dirLearn applies one chosen record. The slot is decided, so its acceptor
+// scratch state retires; each move of one object uses a fresh slot, and
+// only the move's source proposes for it, so the slot can never be
+// reopened.
+func (n *Node) dirLearn(o oid.OID, epoch uint32, node int32) {
+	n.dirStore.Learn(o, node, epoch)
+	delete(n.dirAcc, dir.Slot{OID: o, Epoch: epoch})
+	n.dirInvalidateLease(o, epoch)
 }
 
 // dirAcceptor returns (creating on demand) this replica's acceptor for a
@@ -314,241 +370,6 @@ func (n *Node) dirAcceptor(slot dir.Slot) *dir.Acceptor {
 		n.dirAcc[slot] = a
 	}
 	return a
-}
-
-// ------------------------------------------------- batched group decrees
-//
-// A MoveGroup cohort's location records commit in ONE multi-object quorum
-// round: one DirGPrepare/DirGAccept fan-out covers every member slot
-// instead of one single-decree round per member, cutting decree wire bytes
-// per migrated object. Safety needs no new argument — each slot still has
-// exactly one proposer (the cohort's source), the group just shares the
-// ballot and the messages. The timers, degrade bound and crash/restart
-// replay mirror the single-decree driver.
-
-// dirGroupProposal is the kernel side of one group decree this node is
-// driving.
-type dirGroupProposal struct {
-	g        *dir.GroupProposal
-	replicas []int
-	token    uint32
-	done     []func(chosen bool)
-	// stalledTimer: the round timer fired while this node was down;
-	// restart re-arms it (in token order, after the single-decree slots).
-	stalledTimer bool
-}
-
-// dirSlotRefs converts protocol slots to their wire form.
-func dirSlotRefs(slots []dir.Slot) []wire.DirSlotRef {
-	refs := make([]wire.DirSlotRef, len(slots))
-	for i, s := range slots {
-		refs[i] = wire.DirSlotRef{Target: s.OID, Epoch: s.Epoch}
-	}
-	return refs
-}
-
-// dirProposeGroup starts the batched decree recording each slots[i]'s
-// object at homes[i]. Every slot must map to the same shard replica set
-// (the cohort groupers guarantee it); a group of one degenerates to the
-// single-decree path. done, if non-nil, fires when the group resolves.
-func (n *Node) dirProposeGroup(slots []dir.Slot, homes []int32, done func(chosen bool)) {
-	if len(slots) == 0 {
-		return
-	}
-	if len(slots) == 1 {
-		n.dirPropose(slots[0].OID, slots[0].Epoch, homes[0], done)
-		return
-	}
-	n.dirGTok++
-	gp := &dirGroupProposal{
-		g:        dir.NewGroupProposal(slots, homes, int32(n.ID), n.cluster.dirCfg.Quorum()),
-		replicas: n.dirReplicasOf(slots[0].OID),
-		token:    n.dirGTok,
-	}
-	if done != nil {
-		gp.done = append(gp.done, done)
-	}
-	n.dirGProps[gp.token] = gp
-	n.dirGPrepareRound(gp)
-}
-
-// dirGPrepareRound starts the next group prepare round: one fresh ballot
-// covering every member slot, to every replica of the shared shard.
-func (n *Node) dirGPrepareRound(gp *dirGroupProposal) {
-	ballot := gp.g.Start()
-	refs := dirSlotRefs(gp.g.Slots)
-	for _, r := range gp.replicas {
-		if n.dirGProps[gp.token] != gp {
-			return
-		}
-		n.dirSend(r, &wire.DirGPrepare{Token: gp.token, Ballot: ballot, Slots: refs})
-	}
-	n.armDirGTimer(gp)
-}
-
-// armDirGTimer watches one group round, with the same
-// progress-or-retry-or-degrade policy as the single-decree timer.
-func (n *Node) armDirGTimer(gp *dirGroupProposal) {
-	if !n.chaosOn() {
-		return
-	}
-	attempt := gp.g.Attempt()
-	progress := gp.g.Progress()
-	n.sched.At(n.cluster.Chaos.CommitWindow(), func() {
-		if n.dirGProps[gp.token] != gp || gp.g.Done() {
-			return
-		}
-		if !n.Up {
-			gp.stalledTimer = true
-			return
-		}
-		if gp.g.Attempt() != attempt {
-			return // a newer round owns the live timer
-		}
-		if gp.g.Progress() != progress {
-			n.armDirGTimer(gp)
-			return
-		}
-		if attempt >= dirMaxAttempts {
-			n.dirGResolve(gp, false, "group decree attempts exhausted")
-			return
-		}
-		n.dirGPrepareRound(gp)
-	})
-}
-
-// dirGResolve finishes a group decree (chosen or degraded) and fires the
-// waiters.
-func (n *Node) dirGResolve(gp *dirGroupProposal, chosen bool, reason string) {
-	delete(n.dirGProps, gp.token)
-	if !chosen {
-		for _, s := range gp.g.Slots {
-			n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
-				Kind: obs.EvDirDegraded, Obj: uint32(s.OID), Str: reason})
-		}
-		n.cluster.Rec.Metrics().Add("dir_degraded",
-			obs.NodeLabels(n.ID, n.Spec.ID.String()), uint64(len(gp.g.Slots)))
-	}
-	done := gp.done
-	gp.done = nil
-	for _, f := range done {
-		f(chosen)
-	}
-}
-
-// recvDirGPromise counts one group promise; on quorum it broadcasts the
-// group accept with the per-slot value vector.
-func (n *Node) recvDirGPromise(src int, p *wire.DirGPromise) {
-	gp := n.dirGProps[p.Token]
-	if gp == nil || gp.g.Done() {
-		return
-	}
-	if !gp.g.OnPromise(p.Ballot, p.Ok, p.AccBallots, p.AccNodes, p.Promised) {
-		return
-	}
-	vals := gp.g.ChosenValues()
-	refs := dirSlotRefs(gp.g.Slots)
-	for _, r := range gp.replicas {
-		if n.dirGProps[p.Token] != gp {
-			return
-		}
-		n.dirSend(r, &wire.DirGAccept{Token: gp.token, Ballot: gp.g.Ballot,
-			Slots: refs, Nodes: vals})
-	}
-}
-
-// recvDirGAccepted counts one group accept; on quorum every member decree
-// is chosen at once: per-slot decree events and learns, one group round's
-// worth of messages.
-func (n *Node) recvDirGAccepted(src int, p *wire.DirGAccepted) {
-	gp := n.dirGProps[p.Token]
-	if gp == nil {
-		return
-	}
-	if !gp.g.OnAccepted(p.Ballot, p.Ok, p.Promised) {
-		return
-	}
-	vals := gp.g.ChosenValues()
-	lbl := obs.NodeLabels(n.ID, n.Spec.ID.String())
-	for i, s := range gp.g.Slots {
-		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
-			Kind: obs.EvDirDecree, Obj: uint32(s.OID), A: uint64(s.Epoch), B: uint64(vals[i])})
-		n.dirInvalidateLease(s.OID, s.Epoch)
-	}
-	n.cluster.Rec.Metrics().Add("dir_decrees", lbl, uint64(len(gp.g.Slots)))
-	n.cluster.Rec.Metrics().Add("dir_decree_rounds", lbl, uint64(gp.g.Attempt()))
-	n.cluster.Rec.Metrics().Add("dir_group_decrees", lbl, 1)
-	n.cluster.Rec.Metrics().Add("dir_group_slots", lbl, uint64(len(gp.g.Slots)))
-	learn := &wire.DirGLearn{Slots: dirSlotRefs(gp.g.Slots), Nodes: vals}
-	for _, r := range gp.replicas {
-		n.dirSend(r, learn)
-	}
-	n.dirGResolve(gp, true, "")
-}
-
-// recvDirGPrepare answers a group prepare: every member slot must promise
-// the ballot for the group to promise. Slots promised before a blocking
-// one keep their (higher) promise — promising more never violates
-// safety, and the proposer's retry ballot will clear the bar everywhere.
-func (n *Node) recvDirGPrepare(src int, p *wire.DirGPrepare) {
-	ok := true
-	var blocked uint64
-	accBals := make([]uint64, len(p.Slots))
-	accNodes := make([]int32, len(p.Slots))
-	for i, s := range p.Slots {
-		a := n.dirAcceptor(dir.Slot{OID: s.Target, Epoch: s.Epoch})
-		sok, promised, accBal, accNode := a.Prepare(p.Ballot)
-		if !sok {
-			ok = false
-			if promised > blocked {
-				blocked = promised
-			}
-			continue
-		}
-		accBals[i] = accBal
-		accNodes[i] = accNode
-	}
-	reply := &wire.DirGPromise{Token: p.Token, Ballot: p.Ballot, Ok: ok, Promised: blocked}
-	if ok {
-		reply.AccBallots = accBals
-		reply.AccNodes = accNodes
-	}
-	n.dirSend(src, reply)
-}
-
-// recvDirGAccept answers a group accept: every member slot must accept for
-// the group to accept (partial accepts are safe — a slot's value can only
-// be adopted by this same proposer's retry).
-func (n *Node) recvDirGAccept(src int, p *wire.DirGAccept) {
-	if len(p.Nodes) != len(p.Slots) {
-		return // malformed (corrupt frame survived CRC); drop
-	}
-	ok := true
-	var blocked uint64
-	for i, s := range p.Slots {
-		a := n.dirAcceptor(dir.Slot{OID: s.Target, Epoch: s.Epoch})
-		sok, promised := a.Accept(p.Ballot, p.Nodes[i])
-		if !sok {
-			ok = false
-			if promised > blocked {
-				blocked = promised
-			}
-		}
-	}
-	n.dirSend(src, &wire.DirGAccepted{Token: p.Token, Ballot: p.Ballot, Ok: ok, Promised: blocked})
-}
-
-// recvDirGLearn applies a chosen group decree member by member, exactly
-// like the equivalent run of single learns.
-func (n *Node) recvDirGLearn(src int, p *wire.DirGLearn) {
-	if len(p.Nodes) != len(p.Slots) {
-		return
-	}
-	for i, s := range p.Slots {
-		n.dirStore.Learn(s.Target, p.Nodes[i], s.Epoch)
-		delete(n.dirAcc, dir.Slot{OID: s.Target, Epoch: s.Epoch})
-		n.dirInvalidateLease(s.Target, s.Epoch)
-	}
 }
 
 // recvDirLookup answers a location query from this replica's record store,
@@ -831,22 +652,23 @@ func (n *Node) dirCompactTick() {
 // -------------------------------------------------- move-commit ordering
 
 // dirProposeMove drives the decree for a positively-acked move and commits
-// the transaction when the decree resolves — chosen or degraded — provided
-// the span is still pending (the commit timer cannot have aborted it: a
-// delivered, acked move retires the timer; this is belt and braces).
+// the transaction when the decree resolves — chosen or degraded.
 func (n *Node) dirProposeMove(tx *moveTxn) {
-	span := tx.span
-	n.dirPropose(tx.obj.OID, tx.obj.Epoch, int32(tx.dest), func(chosen bool) {
-		if cur, live := n.pendingCommits[span]; !live || cur != tx {
-			return
-		}
+	n.dirPropose([]dir.Decree{dirDecree(tx)}, func(bool) { n.commitPending(tx) })
+}
+
+// commitPending commits tx provided it is still pending (the commit timer
+// cannot have aborted it: a delivered, acked move retires the timer; this
+// is belt and braces).
+func (n *Node) commitPending(tx *moveTxn) {
+	if cur, live := n.pendingCommits[tx.span]; live && cur == tx {
 		n.commitMove(tx)
-	})
+	}
 }
 
 // dirReplicaKey identifies o's shard replica set for cohort grouping: two
-// members batch into one group decree exactly when their shards replicate
-// on the same node set. Membership is what matters — placement orders the
+// members share one decree round exactly when their shards replicate on
+// the same node set. Membership is what matters — placement orders the
 // same set differently per shard anchor — so the key is sorted.
 func (n *Node) dirReplicaKey(o oid.OID) string {
 	replicas := n.dirReplicasOf(o)
@@ -857,12 +679,11 @@ func (n *Node) dirReplicaKey(o oid.OID) string {
 }
 
 // dirGroupBatch collects one MoveGroup cohort's in-flight transactions
-// under chaos so their decrees ride batched group rounds: members' MoveAcks
-// arrive back to back (the whole cohort installs in one frame event), the
-// batch waits until every member resolves — positively acked, refused or
-// aborted — then proposes one group decree per replica set over the acked
-// members. Each member's commit still gates on its decree resolving, like
-// the single-object path.
+// under chaos so their decrees share rounds: members' MoveAcks arrive back
+// to back (the whole cohort installs in one frame event), the batch waits
+// until every member resolves — positively acked, refused or aborted —
+// then proposes over the acked members. Each member's commit still gates
+// on its decree resolving, like the single-object path.
 type dirGroupBatch struct {
 	outstanding int
 	ready       []*moveTxn
@@ -876,7 +697,7 @@ func (n *Node) dirBatchAcked(tx *moveTxn) {
 	b.ready = append(b.ready, tx)
 	b.outstanding--
 	if b.outstanding == 0 {
-		n.dirBatchPropose(b)
+		n.dirProposeCohort(b.ready, true)
 	}
 }
 
@@ -890,17 +711,19 @@ func (n *Node) dirBatchDrop(tx *moveTxn) {
 	tx.dirBatch = nil
 	b.outstanding--
 	if b.outstanding == 0 && len(b.ready) > 0 {
-		n.dirBatchPropose(b)
+		n.dirProposeCohort(b.ready, true)
 	}
 }
 
-// dirBatchPropose groups the batch's acked members by replica set and
-// drives one group decree per set (singles degenerate), committing each
-// member when its group resolves.
-func (n *Node) dirBatchPropose(b *dirGroupBatch) {
+// dirProposeCohort drives the decrees for a MoveGroup cohort's moves,
+// batched per shard replica set: members whose shards replicate on the
+// same node set share one decree round, and a member alone on its set
+// decrees in a one-slot round. With commit (chaos-on) each member commits
+// when its round resolves; chaos-off the decrees are fire-and-forget.
+func (n *Node) dirProposeCohort(txs []*moveTxn, commit bool) {
 	var order []string
 	groups := map[string][]*moveTxn{}
-	for _, tx := range b.ready {
+	for _, tx := range txs {
 		key := n.dirReplicaKey(tx.obj.OID)
 		if _, ok := groups[key]; !ok {
 			order = append(order, key)
@@ -908,55 +731,20 @@ func (n *Node) dirBatchPropose(b *dirGroupBatch) {
 		groups[key] = append(groups[key], tx)
 	}
 	for _, key := range order {
-		txs := groups[key]
-		if len(txs) == 1 {
-			n.dirProposeMove(txs[0])
-			continue
+		members := groups[key]
+		ds := make([]dir.Decree, len(members))
+		for i, tx := range members {
+			ds[i] = dirDecree(tx)
 		}
-		slots := make([]dir.Slot, len(txs))
-		homes := make([]int32, len(txs))
-		for i, tx := range txs {
-			slots[i] = dir.Slot{OID: tx.obj.OID, Epoch: tx.obj.Epoch}
-			homes[i] = int32(tx.dest)
-		}
-		n.dirProposeGroup(slots, homes, func(chosen bool) {
-			for _, tx := range txs {
-				if cur, live := n.pendingCommits[tx.span]; !live || cur != tx {
-					continue
+		var done func(bool)
+		if commit {
+			done = func(bool) {
+				for _, tx := range members {
+					n.commitPending(tx)
 				}
-				n.commitMove(tx)
 			}
-		})
-	}
-}
-
-// dirCohortPropose drives the chaos-off fire-and-forget decrees for a
-// MoveGroup cohort, batched per shard replica set: members whose shards
-// replicate on the same node set share one group decree round instead of
-// opening one single-slot decree each.
-func (n *Node) dirCohortPropose(cohort []groupItem, dest int) {
-	var order []string
-	groups := map[string][]groupItem{}
-	for _, it := range cohort {
-		key := n.dirReplicaKey(it.msg.Object)
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
 		}
-		groups[key] = append(groups[key], it)
-	}
-	for _, key := range order {
-		its := groups[key]
-		if len(its) == 1 {
-			n.dirPropose(its[0].msg.Object, its[0].msg.Epoch, int32(dest), nil)
-			continue
-		}
-		slots := make([]dir.Slot, len(its))
-		homes := make([]int32, len(its))
-		for i, it := range its {
-			slots[i] = dir.Slot{OID: it.msg.Object, Epoch: it.msg.Epoch}
-			homes[i] = int32(dest)
-		}
-		n.dirProposeGroup(slots, homes, nil)
+		n.dirPropose(ds, done)
 	}
 }
 
@@ -974,20 +762,6 @@ func (n *Node) restartDir() {
 		dp := n.dirProps[slot]
 		dp.stalledTimer = false
 		n.armDirTimer(dp)
-	}
-	// Stalled group decrees re-arm after the single slots, in token order —
-	// tokens are minted in proposal order, so reruns replay identically.
-	gtoks := make([]uint32, 0, len(n.dirGProps))
-	for tok, gp := range n.dirGProps {
-		if gp.stalledTimer {
-			gtoks = append(gtoks, tok)
-		}
-	}
-	sort.Slice(gtoks, func(i, j int) bool { return gtoks[i] < gtoks[j] })
-	for _, tok := range gtoks {
-		gp := n.dirGProps[tok]
-		gp.stalledTimer = false
-		n.armDirGTimer(gp)
 	}
 	toks := make([]uint32, 0, len(n.dirLooks))
 	for tok, lk := range n.dirLooks {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // decreeMsgCount sums the per-kind message counters for the given wire
@@ -31,8 +32,7 @@ func decreeMsgCount(c *Cluster, kinds ...string) uint64 {
 	return total
 }
 
-var singleDecreeKinds = []string{"dirprepare", "dirpromise", "diraccept", "diraccepted", "dirlearn"}
-var groupDecreeKinds = []string{"dirgprepare", "dirgpromise", "dirgaccept", "dirgaccepted", "dirglearn"}
+var decreeKinds = []string{"dirprepare", "dirpromise", "diraccept", "diraccepted", "dirlearn"}
 
 // TestDirGroupDecreeBatches: the {Service, Stats} cohort moves as one
 // MoveGroup, so with the directory armed its two location records must
@@ -77,8 +77,8 @@ func TestDirGroupDecreeBatches(t *testing.T) {
 	if d1, d2 := dirCounter(grouped, "dir_decrees"), dirCounter(control, "dir_decrees"); d1 != d2 {
 		t.Errorf("decree counts diverge: grouped %d, control %d", d1, d2)
 	}
-	gm := decreeMsgCount(grouped, singleDecreeKinds...) + decreeMsgCount(grouped, groupDecreeKinds...)
-	cm := decreeMsgCount(control, singleDecreeKinds...)
+	gm := decreeMsgCount(grouped, decreeKinds...)
+	cm := decreeMsgCount(control, decreeKinds...)
 	if gm >= cm {
 		t.Errorf("grouped arm sent %d decree messages, control %d; batching saved nothing", gm, cm)
 	}
@@ -104,14 +104,16 @@ func TestDirGroupDecreeChaosReplay(t *testing.T) {
 	}
 
 	// Scout run (same seed, no crash — identical up to the crash instant):
-	// find when the group prepare goes out.
+	// find when the first multi-slot prepare goes out — the one wider than
+	// a one-slot prepare.
 	scout := runSrc(t, chattySrc, models, cfg(basePlan()))
 	if got := scout.OutputText(); got != chattyWant {
 		t.Fatalf("scout output = %q, want %q", got, chattyWant)
 	}
+	oneSlot := uint64(len((&wire.Msg{Payload: &wire.DirPrepare{}}).Marshal()))
 	var prepAt int64
 	for _, e := range scout.Rec.Events() {
-		if e.Kind == obs.EvWireSend && e.Str == "dirgprepare" {
+		if e.Kind == obs.EvWireSend && e.Str == "dirprepare" && e.A > oneSlot {
 			prepAt = e.At
 			break
 		}

@@ -10,6 +10,7 @@
 package kernel
 
 import (
+	"repro/internal/dir"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -48,7 +49,7 @@ func (n *Node) dispatchMove(dest int, msg *wire.Move, tx *moveTxn, sp *obs.Span,
 		// Chaos-off the commit just ran inline and delivery is certain, so
 		// the directory decree is fire-and-forget; chaos-on it waits for
 		// the destination's positive MoveAck (recvMoveAck).
-		n.dirPropose(msg.Object, msg.Epoch, int32(dest), nil)
+		n.dirPropose([]dir.Decree{dirDecree(tx)}, nil)
 	}
 	if tx.live {
 		n.beginTransit(tx, sp.ID)
@@ -112,7 +113,7 @@ func (n *Node) moveGroup(objs []*Obj, dest int, fix bool) {
 	m.Add("group_move_frame_bytes", lbl, uint64(frameBytes))
 	m.Add("group_move_member_bytes", lbl, uint64(memberBytes))
 	batching := n.cluster.dirOn && !n.cluster.Config.DirNoGroupDecrees
-	var cohort []groupItem
+	var cohort []*moveTxn
 	for _, it := range items {
 		it.tx.do(it.commit)
 		if n.cluster.dirOn && !it.tx.live {
@@ -120,15 +121,15 @@ func (n *Node) moveGroup(objs []*Obj, dest int, fix bool) {
 				// Chaos-off the whole cohort's decrees batch into group
 				// rounds, fired after the loop so members sharing a shard
 				// replica set ride one prepare/accept exchange.
-				cohort = append(cohort, it)
+				cohort = append(cohort, it.tx)
 				continue
 			}
 			// Same chaos-off fire-and-forget decree as dispatchMove.
-			n.dirPropose(it.msg.Object, it.msg.Epoch, int32(dest), nil)
+			n.dirPropose([]dir.Decree{dirDecree(it.tx)}, nil)
 		}
 	}
 	if len(cohort) > 0 {
-		n.dirCohortPropose(cohort, dest)
+		n.dirProposeCohort(cohort, false)
 	}
 	// Under chaos every member transaction pins to the batch's single frame
 	// (lastFrame after the one send above): per-member MoveAcks resolve the

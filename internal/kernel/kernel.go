@@ -180,7 +180,7 @@ type Config struct {
 	// default; cmd/emrun's -nosharpen flag clears it.
 	SharpenLiveSets bool
 	// DirReplicas, when > 0, arms the replicated object directory (emdir,
-	// internal/dir): every move commit drives a single-decree Paxos round
+	// internal/dir): every move commit drives a Paxos decree round
 	// recording the object's new home across that many replicas of its
 	// shard, locates consult the directory first (one shard query instead
 	// of a forwarding-address walk), and a background compactor rewrites
@@ -199,8 +199,7 @@ type Config struct {
 	// to the lease-free directory.
 	DirLeaseMicros int64
 	// DirNoGroupDecrees disables batched group decrees: each member of a
-	// MoveGroup cohort then drives its own single-object decree round, as
-	// before. Escape hatch and the control arm of the batching experiment
+	// MoveGroup cohort then drives its own one-slot decree round. Escape hatch and the control arm of the batching experiment
 	// (embench dir).
 	DirNoGroupDecrees bool
 	// LinkLatencies adds per-link extra propagation latency to the netsim

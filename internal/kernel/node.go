@@ -133,19 +133,15 @@ type Node struct {
 	// Replicated-directory state, live only when Config.DirReplicas > 0
 	// (see dir.go). dirAcc/dirStore are this node's replica roles (acceptor
 	// per decree slot, learner record store); dirProps are decrees this
-	// node is driving as a move source; dirLooks are its outstanding lookup
-	// queries keyed by token.
-	dirAcc   map[dir.Slot]*dir.Acceptor
-	dirStore *dir.Store
-	dirProps map[dir.Slot]*dirProposal
-	dirLooks map[uint32]*dirLookup
-	dirTok   uint32
-	// dirGProps are batched group decrees this node is driving as a
-	// MoveGroup source, keyed by a node-local group token; dirLeases are
-	// read leases granted by shard replicas (Config.DirLeaseMicros > 0),
-	// letting repeat lookups of a stable object skip the shard query.
-	dirGProps map[uint32]*dirGroupProposal
-	dirGTok   uint32
+	// node is driving as a move source, keyed by their first slot; dirLooks
+	// are its outstanding lookup queries keyed by token; dirLeases are read
+	// leases granted by shard replicas (Config.DirLeaseMicros > 0), letting
+	// repeat lookups of a stable object skip the shard query.
+	dirAcc    map[dir.Slot]*dir.Acceptor
+	dirStore  *dir.Store
+	dirProps  map[dir.Slot]*dirProposal
+	dirLooks  map[uint32]*dirLookup
+	dirTok    uint32
 	dirLeases map[oid.OID]dirLease
 
 	callConv  *wire.CallConverter
@@ -227,7 +223,6 @@ func newNode(c *Cluster, id int, m netsim.MachineModel) *Node {
 		dirStore:  dir.NewStore(),
 		dirProps:  map[dir.Slot]*dirProposal{},
 		dirLooks:  map[uint32]*dirLookup{},
-		dirGProps: map[uint32]*dirGroupProposal{},
 		dirLeases: map[oid.OID]dirLease{},
 	}
 	n.sched = c.Sim.NodeSched(id)

@@ -1,16 +1,19 @@
 // Fuzzing the decode paths: under a chaos plan, frames arrive truncated and
 // bit-flipped, so Unmarshal and ParseLinkFrame must reject any byte soup
 // with an error — never panic, never over-allocate. The seed corpus covers
-// every message kind; `go test -run FuzzMsgDecode` replays it in CI.
+// every live message kind (TestSeedMsgsCoverEveryKind enforces it), the
+// directory decree kinds at one and three slots; `go test -run
+// FuzzMsgDecode` replays it in CI.
 
 package wire
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
-// seedMsgs returns one marshalled Msg of every payload kind.
+// seedMsgs returns marshalled Msgs covering every live payload kind.
 func seedMsgs() [][]byte {
 	payloads := []Payload{
 		&Invoke{Target: 7, OpName: "tour", Origin: 1, CallerFrag: 0x01000002,
@@ -33,6 +36,19 @@ func seedMsgs() [][]byte {
 		&LocateReply{Target: 7, Node: 2, ReplyFrag: 1},
 		&UpdateLoc{Target: 7, Node: 2, Epoch: 4},
 		&MoveAck{Object: 7, SpanID: 11, Epoch: 2, Ok: false, Err: "bad piece index"},
+		&MoveGroup{Inner: []*Move{{Object: 7, CodeOID: 3, Epoch: 2, SpanID: 11,
+			Data: []Value{{Kind: WInt, Bits: 9}}}, {Object: 8, CodeOID: 3, Epoch: 1, SpanID: 12}}},
+		&DirPrepare{Target: 7, Epoch: 2, Ballot: 0x10001},
+		&DirPrepare{Target: 7, Epoch: 2, Ballot: 0x10001, More: &dirMore},
+		&DirPromise{Target: 7, Epoch: 2, Ballot: 0x10001, Ok: true, Promised: 0x10001, AccNode: -1},
+		&DirPromise{Target: 7, Epoch: 2, Ballot: 0x10001, Ok: false, Promised: 0x20001, AccNode: -1, More: &dirAccs},
+		&DirAccept{Target: 7, Epoch: 2, Ballot: 0x10001, Node: 1},
+		&DirAccept{Target: 7, Epoch: 2, Ballot: 0x10001, Node: 1, More: &dirVals},
+		&DirAccepted{Target: 7, Epoch: 2, Ballot: 0x10001, Ok: true, Promised: 0x10001},
+		&DirLearn{Target: 7, Epoch: 2, Node: 1},
+		&DirLearn{Target: 7, Epoch: 2, Node: 1, More: &dirVals},
+		&DirLookup{Target: 7, Token: 3},
+		&DirLookupReply{Target: 7, Token: 3, Ok: true, Node: 1, Epoch: 2, Lease: 2000},
 	}
 	var out [][]byte
 	for i, p := range payloads {
@@ -71,6 +87,25 @@ func FuzzMsgDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSeedMsgsCoverEveryKind: every live message kind — one with a name,
+// so not reserved — must have a decodable fuzz seed.
+func TestSeedMsgsCoverEveryKind(t *testing.T) {
+	seeded := map[MsgKind]bool{}
+	for _, b := range seedMsgs() {
+		m, err := Unmarshal(b)
+		if err != nil {
+			t.Fatalf("seed does not decode: %v", err)
+		}
+		seeded[m.Payload.Kind()] = true
+	}
+	for k := 1; k < 256; k++ {
+		kind := MsgKind(k)
+		if live := kind.String() != fmt.Sprintf("msg(%d)", k); live && !seeded[kind] {
+			t.Errorf("message kind %v has no fuzz seed", kind)
+		}
+	}
 }
 
 func TestLinkFrameRoundtrip(t *testing.T) {
@@ -116,16 +151,16 @@ func TestDecCountRejectsOversizedLists(t *testing.T) {
 	e.I32(0)
 	e.I32(1)
 	e.U32(0)
-	e.OID(7)        // Object
-	e.OID(3)        // CodeOID
-	e.U32(1)        // Epoch
-	e.U8(0)         // flags
-	e.U8(0)         // elem kind
-	e.U16(0)        // Data
-	e.U32(0)        // MonHolder
-	e.U16(0)        // EntryQueue
-	e.U16(0)        // CondQueues
-	e.U16(0xffff)   // Frags count: lies
+	e.OID(7)      // Object
+	e.OID(3)      // CodeOID
+	e.U32(1)      // Epoch
+	e.U8(0)       // flags
+	e.U8(0)       // elem kind
+	e.U16(0)      // Data
+	e.U32(0)      // MonHolder
+	e.U16(0)      // EntryQueue
+	e.U16(0)      // CondQueues
+	e.U16(0xffff) // Frags count: lies
 	if _, err := Unmarshal(e.Bytes()); err == nil {
 		t.Fatal("oversized fragment count accepted")
 	}

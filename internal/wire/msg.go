@@ -169,6 +169,20 @@ func (d *Dec) Count(minElemBytes int) int {
 	return n
 }
 
+// Rest reports how many entries of entryBytes each fill the rest of the
+// message, rejecting a remainder that is not a whole number of entries.
+func (d *Dec) Rest(entryBytes int) int {
+	if d.err != nil {
+		return 0
+	}
+	r := len(d.buf) - d.off
+	if r%entryBytes != 0 {
+		d.err = fmt.Errorf("wire: %d trailing bytes are not whole %d-byte entries", r, entryBytes)
+		return 0
+	}
+	return r / entryBytes
+}
+
 // Minimum encoded sizes of counted-list elements (for Count).
 const (
 	minValueBytes    = 5  // kind byte + 4 bytes of bits or length
@@ -226,23 +240,25 @@ const (
 	MUnfixReq                       // unfix/refix control for a remote object
 	MMoveAck                        // destination's install ack for a Move (2PC)
 	MMoveGroup                      // batched cohort move: several Moves in one frame
-	// Directory protocol (emdir): one single-decree Paxos instance per
-	// (oid, epoch) move-commit slot, plus the replicated lookup service.
+	// Directory protocol (emdir): Paxos decree rounds over (oid, epoch)
+	// move-commit slots, plus the replicated lookup service. A decree round
+	// covers one slot or several slots sharing a replica set; extra slots
+	// ride as trailing entries after the one-slot layout.
 	// New kinds append here so older captures stay decodable.
-	MDirPrepare                    // proposer → replica: prepare(slot, ballot)
-	MDirPromise                    // replica → proposer: promise or nack
-	MDirAccept                     // proposer → replica: accept(slot, ballot, home)
-	MDirAccepted                   // replica → proposer: accepted or nack
-	MDirLearn                      // proposer → replica: decree chosen, learn record
-	MDirLookup                     // client → replica: where does OID live?
-	MDirLookupReply                // replica → client: record (or miss)
-	// Batched group decrees: a MoveGroup cohort's location records commit
-	// under one ballot with one set of prepare/accept messages.
-	MDirGPrepare                   // proposer → replica: prepare(slots, ballot)
-	MDirGPromise                   // replica → proposer: group promise or nack
-	MDirGAccept                    // proposer → replica: accept(slots, ballot, homes)
-	MDirGAccepted                  // replica → proposer: group accepted or nack
-	MDirGLearn                     // proposer → replica: group decree chosen
+	MDirPrepare     // proposer → replica: prepare(slots, ballot)
+	MDirPromise     // replica → proposer: promise or nack, per-slot accepted state
+	MDirAccept      // proposer → replica: accept(slots, ballot, homes)
+	MDirAccepted    // replica → proposer: accepted or nack
+	MDirLearn       // proposer → replica: decree chosen, learn records
+	MDirLookup      // client → replica: where does OID live?
+	MDirLookupReply // replica → client: record (or miss)
+	// Reserved: the kind bytes of a retired separate group-decree protocol.
+	// The decoder rejects them as unknown.
+	_
+	_
+	_
+	_
+	_
 )
 
 func (k MsgKind) String() string {
@@ -281,16 +297,6 @@ func (k MsgKind) String() string {
 		return "dirlookup"
 	case MDirLookupReply:
 		return "dirlookupreply"
-	case MDirGPrepare:
-		return "dirgprepare"
-	case MDirGPromise:
-		return "dirgpromise"
-	case MDirGAccept:
-		return "dirgaccept"
-	case MDirGAccepted:
-		return "dirgaccepted"
-	case MDirGLearn:
-		return "dirglearn"
 	}
 	return fmt.Sprintf("msg(%d)", byte(k))
 }
@@ -409,26 +415,6 @@ func Unmarshal(buf []byte) (*Msg, error) {
 		m.Payload = p
 	case MDirLookupReply:
 		p := &DirLookupReply{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MDirGPrepare:
-		p := &DirGPrepare{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MDirGPromise:
-		p := &DirGPromise{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MDirGAccept:
-		p := &DirGAccept{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MDirGAccepted:
-		p := &DirGAccepted{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MDirGLearn:
-		p := &DirGLearn{}
 		p.unmarshal(&d)
 		m.Payload = p
 	default:
@@ -949,45 +935,115 @@ func (p *MoveGroup) unmarshal(d *Dec) {
 	}
 }
 
+// Decree messages cover one slot or several. The first slot rides in the
+// one-slot layout's head fields, which every reply echoes to name the
+// round; each extra slot follows as a fixed-size trailing entry, so the
+// decoder takes the entry count from the payload length. More points at
+// the extra entries in canonical slot order and is nil for a one-slot
+// round: a pointer keeps the common one-slot message small.
+
+// extra dereferences a message's extra-entry list (nil for one slot).
+func extra[T any](more *[]T) []T {
+	if more == nil {
+		return nil
+	}
+	return *more
+}
+
+// restOf decodes the trailing entries of entryBytes each into a list, nil
+// when there are none.
+func restOf[T any](d *Dec, entryBytes int, entry func() T) *[]T {
+	n := d.Rest(entryBytes)
+	if n == 0 {
+		return nil
+	}
+	es := make([]T, n)
+	for i := range es {
+		es[i] = entry()
+	}
+	return &es
+}
+
 // DirPrepare opens a decree round: the proposer (a move's source node)
-// asks a replica of the object's shard to promise ballot for the
-// (Target, Epoch) slot.
+// asks a replica of the objects' shard to promise Ballot for the (Target,
+// Epoch) slot and every extra slot.
 type DirPrepare struct {
 	Target oid.OID
 	Epoch  uint32
 	Ballot uint64
+	More   *[]DirSlotRef
+}
+
+// DirSlotRef is one extra (oid, epoch) slot of a DirPrepare.
+type DirSlotRef struct {
+	Target oid.OID
+	Epoch  uint32
 }
 
 // Kind implements Payload.
 func (p *DirPrepare) Kind() MsgKind { return MDirPrepare }
 
+// Extra returns the extra slots (nil for a one-slot round).
+func (p *DirPrepare) Extra() []DirSlotRef { return extra(p.More) }
+
 func (p *DirPrepare) marshal(e *Enc) {
 	e.OID(p.Target)
 	e.U32(p.Epoch)
 	e.U64(p.Ballot)
+	for _, s := range p.Extra() {
+		e.OID(s.Target)
+		e.U32(s.Epoch)
+	}
 }
 
 func (p *DirPrepare) unmarshal(d *Dec) {
 	p.Target = d.OID()
 	p.Epoch = d.U32()
 	p.Ballot = d.U64()
+	p.More = restOf(d, 8, func() DirSlotRef { return DirSlotRef{Target: d.OID(), Epoch: d.U32()} })
 }
 
-// DirPromise answers a DirPrepare. Ok carries the replica's previously
-// accepted (ballot, home) for the slot so the proposer can adopt it; !Ok
-// is a nack carrying the higher ballot that blocked.
+// DirPromise answers a DirPrepare. Ok means every slot promised; !Ok is a
+// nack carrying the highest ballot that blocked any slot. Either way
+// AccBallot/AccNode and the extra entries carry the replica's per-slot
+// accepted state, parallel to the prepare's slots, so the proposer can
+// adopt it. (Fields are ordered for packing; the wire order is Target,
+// Epoch, Ballot, Ok, Promised, AccBallot, AccNode, extra entries.)
 type DirPromise struct {
 	Target    oid.OID
 	Epoch     uint32
 	Ballot    uint64 // the prepare ballot being answered
-	Ok        bool
 	Promised  uint64 // on nack: the ballot the replica is holding for
-	AccBallot uint64 // on ok: accepted ballot (0 = none)
-	AccNode   int32  // on ok: accepted home node (-1 = none)
+	AccBallot uint64 // accepted ballot (0 = none)
+	AccNode   int32  // accepted home node (-1 = none)
+	Ok        bool
+	More      *[]DirSlotAcc
+}
+
+// DirSlotAcc is one extra slot's accepted state in a DirPromise.
+type DirSlotAcc struct {
+	AccBallot uint64
+	AccNode   int32
 }
 
 // Kind implements Payload.
 func (p *DirPromise) Kind() MsgKind { return MDirPromise }
+
+// Extra returns the extra slots' accepted state (nil for one slot).
+func (p *DirPromise) Extra() []DirSlotAcc { return extra(p.More) }
+
+// Len reports how many slots the promise covers.
+func (p *DirPromise) Len() int { return 1 + len(p.Extra()) }
+
+// Acc returns slot i's accepted (ballot, home): slot 0 is the head, the
+// rest are the extra entries.
+func (p *DirPromise) Acc(i int) (uint64, int32) {
+	if i == 0 {
+		return p.AccBallot, p.AccNode
+	}
+	a := p.Extra()[i-1]
+	return a.AccBallot, a.AccNode
+}
 
 func (p *DirPromise) marshal(e *Enc) {
 	e.OID(p.Target)
@@ -1001,6 +1057,10 @@ func (p *DirPromise) marshal(e *Enc) {
 	e.U64(p.Promised)
 	e.U64(p.AccBallot)
 	e.I32(p.AccNode)
+	for _, a := range p.Extra() {
+		e.U64(a.AccBallot)
+		e.I32(a.AccNode)
+	}
 }
 
 func (p *DirPromise) unmarshal(d *Dec) {
@@ -1011,25 +1071,40 @@ func (p *DirPromise) unmarshal(d *Dec) {
 	p.Promised = d.U64()
 	p.AccBallot = d.U64()
 	p.AccNode = d.I32()
+	p.More = restOf(d, 12, func() DirSlotAcc { return DirSlotAcc{AccBallot: d.U64(), AccNode: d.I32()} })
 }
 
-// DirAccept asks a replica to accept the decree value (the object's new
-// home node) at the prepared ballot.
+// DirAccept asks a replica to accept the decree values (each slot object's
+// new home node) at the prepared ballot. The extra slots ride along so the
+// replica side stays stateless between phases.
 type DirAccept struct {
 	Target oid.OID
 	Epoch  uint32
 	Ballot uint64
 	Node   int32 // the home node being decreed
+	More   *[]DirSlotNode
+}
+
+// DirSlotNode is one extra slot and its decreed home in a DirAccept or
+// DirLearn.
+type DirSlotNode struct {
+	Target oid.OID
+	Epoch  uint32
+	Node   int32
 }
 
 // Kind implements Payload.
 func (p *DirAccept) Kind() MsgKind { return MDirAccept }
+
+// Extra returns the extra slots and their homes (nil for one slot).
+func (p *DirAccept) Extra() []DirSlotNode { return extra(p.More) }
 
 func (p *DirAccept) marshal(e *Enc) {
 	e.OID(p.Target)
 	e.U32(p.Epoch)
 	e.U64(p.Ballot)
 	e.I32(p.Node)
+	marshalSlotNodes(e, p.Extra())
 }
 
 func (p *DirAccept) unmarshal(d *Dec) {
@@ -1037,9 +1112,23 @@ func (p *DirAccept) unmarshal(d *Dec) {
 	p.Epoch = d.U32()
 	p.Ballot = d.U64()
 	p.Node = d.I32()
+	p.More = unmarshalSlotNodes(d)
 }
 
-// DirAccepted answers a DirAccept.
+func marshalSlotNodes(e *Enc, ss []DirSlotNode) {
+	for _, s := range ss {
+		e.OID(s.Target)
+		e.U32(s.Epoch)
+		e.I32(s.Node)
+	}
+}
+
+func unmarshalSlotNodes(d *Dec) *[]DirSlotNode {
+	return restOf(d, 12, func() DirSlotNode { return DirSlotNode{Target: d.OID(), Epoch: d.U32(), Node: d.I32()} })
+}
+
+// DirAccepted answers a DirAccept: every slot accepted, or a nack with the
+// highest blocking ballot.
 type DirAccepted struct {
 	Target   oid.OID
 	Epoch    uint32
@@ -1072,27 +1161,34 @@ func (p *DirAccepted) unmarshal(d *Dec) {
 }
 
 // DirLearn announces a chosen decree to a replica: object Target lives at
-// Node as of Epoch. Learns are idempotent (replicas apply only strictly
-// newer epochs), so the proposer broadcasts them unreliably-at-least-once.
+// Node as of Epoch, and likewise for each extra slot. Learns are idempotent
+// (replicas apply only strictly newer epochs), so the proposer broadcasts
+// them unreliably-at-least-once.
 type DirLearn struct {
 	Target oid.OID
 	Epoch  uint32
 	Node   int32
+	More   *[]DirSlotNode
 }
 
 // Kind implements Payload.
 func (p *DirLearn) Kind() MsgKind { return MDirLearn }
 
+// Extra returns the extra slots and their homes (nil for one slot).
+func (p *DirLearn) Extra() []DirSlotNode { return extra(p.More) }
+
 func (p *DirLearn) marshal(e *Enc) {
 	e.OID(p.Target)
 	e.U32(p.Epoch)
 	e.I32(p.Node)
+	marshalSlotNodes(e, p.Extra())
 }
 
 func (p *DirLearn) unmarshal(d *Dec) {
 	p.Target = d.OID()
 	p.Epoch = d.U32()
 	p.Node = d.I32()
+	p.More = unmarshalSlotNodes(d)
 }
 
 // DirLookup asks a replica of the target's shard for its ownership record.
@@ -1153,216 +1249,6 @@ func (p *DirLookupReply) unmarshal(d *Dec) {
 	p.Node = d.I32()
 	p.Epoch = d.U32()
 	p.Lease = d.U32()
-}
-
-// DirSlotRef names one (oid, epoch) decree slot inside a group message.
-type DirSlotRef struct {
-	Target oid.OID
-	Epoch  uint32
-}
-
-// minSlotRefBytes is the encoded size of one DirSlotRef (for Count).
-const minSlotRefBytes = 8
-
-func marshalSlotRefs(e *Enc, ss []DirSlotRef) {
-	e.U16(uint16(len(ss)))
-	for _, s := range ss {
-		e.OID(s.Target)
-		e.U32(s.Epoch)
-	}
-}
-
-func unmarshalSlotRefs(d *Dec) []DirSlotRef {
-	n := d.Count(minSlotRefBytes)
-	if n == 0 {
-		return nil
-	}
-	out := make([]DirSlotRef, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, DirSlotRef{Target: d.OID(), Epoch: d.U32()})
-		if d.Err() != nil {
-			return nil
-		}
-	}
-	return out
-}
-
-// DirGPrepare opens a batched group decree round: the proposer (the source
-// of a MoveGroup cohort) asks a replica shared by every member slot to
-// promise one ballot for all of them. Token correlates the replies with
-// the proposer's pending group.
-type DirGPrepare struct {
-	Token  uint32
-	Ballot uint64
-	Slots  []DirSlotRef
-}
-
-// Kind implements Payload.
-func (p *DirGPrepare) Kind() MsgKind { return MDirGPrepare }
-
-func (p *DirGPrepare) marshal(e *Enc) {
-	e.U32(p.Token)
-	e.U64(p.Ballot)
-	marshalSlotRefs(e, p.Slots)
-}
-
-func (p *DirGPrepare) unmarshal(d *Dec) {
-	p.Token = d.U32()
-	p.Ballot = d.U64()
-	p.Slots = unmarshalSlotRefs(d)
-}
-
-// DirGPromise answers a DirGPrepare. Ok means every member slot promised;
-// AccBallots/AccNodes then carry the replica's per-slot accepted state,
-// parallel to the prepare's slot list. !Ok is a nack carrying the highest
-// ballot that blocked any member.
-type DirGPromise struct {
-	Token      uint32
-	Ballot     uint64
-	Ok         bool
-	Promised   uint64
-	AccBallots []uint64
-	AccNodes   []int32
-}
-
-// Kind implements Payload.
-func (p *DirGPromise) Kind() MsgKind { return MDirGPromise }
-
-func (p *DirGPromise) marshal(e *Enc) {
-	e.U32(p.Token)
-	e.U64(p.Ballot)
-	if p.Ok {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-	e.U64(p.Promised)
-	e.U16(uint16(len(p.AccBallots)))
-	for _, b := range p.AccBallots {
-		e.U64(b)
-	}
-	e.U16(uint16(len(p.AccNodes)))
-	for _, n := range p.AccNodes {
-		e.I32(n)
-	}
-}
-
-func (p *DirGPromise) unmarshal(d *Dec) {
-	p.Token = d.U32()
-	p.Ballot = d.U64()
-	p.Ok = d.U8() != 0
-	p.Promised = d.U64()
-	nb := d.Count(8)
-	for i := 0; i < nb; i++ {
-		p.AccBallots = append(p.AccBallots, d.U64())
-		if d.Err() != nil {
-			return
-		}
-	}
-	nn := d.Count(4)
-	for i := 0; i < nn; i++ {
-		p.AccNodes = append(p.AccNodes, d.I32())
-		if d.Err() != nil {
-			return
-		}
-	}
-}
-
-// DirGAccept asks a replica to accept the whole group's values (one home
-// node per member slot) at the prepared ballot. The slot list rides along
-// so the replica side stays stateless between phases, like the
-// single-decree protocol.
-type DirGAccept struct {
-	Token  uint32
-	Ballot uint64
-	Slots  []DirSlotRef
-	Nodes  []int32
-}
-
-// Kind implements Payload.
-func (p *DirGAccept) Kind() MsgKind { return MDirGAccept }
-
-func (p *DirGAccept) marshal(e *Enc) {
-	e.U32(p.Token)
-	e.U64(p.Ballot)
-	marshalSlotRefs(e, p.Slots)
-	e.U16(uint16(len(p.Nodes)))
-	for _, n := range p.Nodes {
-		e.I32(n)
-	}
-}
-
-func (p *DirGAccept) unmarshal(d *Dec) {
-	p.Token = d.U32()
-	p.Ballot = d.U64()
-	p.Slots = unmarshalSlotRefs(d)
-	nn := d.Count(4)
-	for i := 0; i < nn; i++ {
-		p.Nodes = append(p.Nodes, d.I32())
-		if d.Err() != nil {
-			return
-		}
-	}
-}
-
-// DirGAccepted answers a DirGAccept: every member slot accepted, or a nack
-// with the blocking ballot.
-type DirGAccepted struct {
-	Token    uint32
-	Ballot   uint64
-	Ok       bool
-	Promised uint64
-}
-
-// Kind implements Payload.
-func (p *DirGAccepted) Kind() MsgKind { return MDirGAccepted }
-
-func (p *DirGAccepted) marshal(e *Enc) {
-	e.U32(p.Token)
-	e.U64(p.Ballot)
-	if p.Ok {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-	e.U64(p.Promised)
-}
-
-func (p *DirGAccepted) unmarshal(d *Dec) {
-	p.Token = d.U32()
-	p.Ballot = d.U64()
-	p.Ok = d.U8() != 0
-	p.Promised = d.U64()
-}
-
-// DirGLearn announces a chosen group decree: member slot i's object lives
-// at Nodes[i] as of its slot epoch. Like DirLearn, learns are idempotent
-// and applied per member.
-type DirGLearn struct {
-	Slots []DirSlotRef
-	Nodes []int32
-}
-
-// Kind implements Payload.
-func (p *DirGLearn) Kind() MsgKind { return MDirGLearn }
-
-func (p *DirGLearn) marshal(e *Enc) {
-	marshalSlotRefs(e, p.Slots)
-	e.U16(uint16(len(p.Nodes)))
-	for _, n := range p.Nodes {
-		e.I32(n)
-	}
-}
-
-func (p *DirGLearn) unmarshal(d *Dec) {
-	p.Slots = unmarshalSlotRefs(d)
-	nn := d.Count(4)
-	for i := 0; i < nn; i++ {
-		p.Nodes = append(p.Nodes, d.I32())
-		if d.Err() != nil {
-			return
-		}
-	}
 }
 
 // PayloadSize returns the encoded size of p alone (without the Msg

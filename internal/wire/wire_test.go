@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -261,6 +263,14 @@ func TestMoveReqLocateRoundtrips(t *testing.T) {
 	}
 }
 
+// Three-slot decree fixtures: the first slot rides in the one-slot head,
+// the other two as trailing entries.
+var (
+	dirMore = []DirSlotRef{{Target: 12, Epoch: 1}, {Target: 15, Epoch: 4}}
+	dirVals = []DirSlotNode{{Target: 12, Epoch: 1, Node: 0}, {Target: 15, Epoch: 4, Node: 3}}
+	dirAccs = []DirSlotAcc{{AccBallot: 0, AccNode: -1}, {AccBallot: 0x10001, AccNode: 2}}
+)
+
 func TestDirMessageRoundtrips(t *testing.T) {
 	for _, p := range []Payload{
 		&DirPrepare{Target: 9, Epoch: 3, Ballot: 0x1_0002_0003},
@@ -271,6 +281,7 @@ func TestDirMessageRoundtrips(t *testing.T) {
 		&DirAccept{Target: 9, Epoch: 3, Ballot: 0x1_0002_0003, Node: 2},
 		&DirAccepted{Target: 9, Epoch: 3, Ballot: 0x1_0002_0003, Ok: true,
 			Promised: 0x1_0002_0003},
+		&DirAccepted{Target: 9, Epoch: 3, Ballot: 0x10001, Ok: false, Promised: 0x30001},
 		&DirLearn{Target: 9, Epoch: 3, Node: 2},
 		&DirLookup{Target: 9, Token: 41},
 		&DirLookupReply{Target: 9, Token: 41, Ok: true, Node: 2, Epoch: 3},
@@ -280,6 +291,100 @@ func TestDirMessageRoundtrips(t *testing.T) {
 		got := roundtripMsg(t, m)
 		if !reflect.DeepEqual(m, got) {
 			t.Errorf("%T roundtrip mismatch:\n%+v\n%+v", p, m.Payload, got.Payload)
+		}
+	}
+}
+
+// TestDirGroupMessageRoundtrips: a group decree is a decree message with
+// trailing per-slot entries; three-slot forms of every decree kind
+// roundtrip, including a refused promise and a refused accept.
+func TestDirGroupMessageRoundtrips(t *testing.T) {
+	for _, p := range []Payload{
+		&DirPrepare{Target: 9, Epoch: 3, Ballot: 0x1_0002_0003, More: &dirMore},
+		&DirPromise{Target: 9, Epoch: 3, Ballot: 0x1_0002_0003, Ok: true,
+			Promised: 0x1_0002_0003, AccBallot: 0, AccNode: -1, More: &dirAccs},
+		&DirPromise{Target: 9, Epoch: 3, Ballot: 0x10001, Ok: false,
+			Promised: 0x20001, AccNode: -1, More: &dirAccs},
+		&DirAccept{Target: 9, Epoch: 3, Ballot: 0x1_0002_0003, Node: 2, More: &dirVals},
+		&DirAccepted{Target: 9, Epoch: 3, Ballot: 0x1_0002_0003, Ok: true,
+			Promised: 0x1_0002_0003},
+		&DirAccepted{Target: 9, Epoch: 3, Ballot: 0x10001, Ok: false, Promised: 0x30001},
+		&DirLearn{Target: 9, Epoch: 3, Node: 2, More: &dirVals},
+	} {
+		m := &Msg{Src: 1, Dst: 0, Seq: 1, Payload: p}
+		got := roundtripMsg(t, m)
+		if !reflect.DeepEqual(m, got) {
+			t.Errorf("%T roundtrip mismatch:\n%+v\n%+v", p, m.Payload, got.Payload)
+		}
+	}
+}
+
+// TestDirOneSlotGoldenBytes pins the one-slot decree encoding: each of the
+// five decree kinds must encode to exactly the bytes the single-decree
+// protocol has always put on the wire (kind byte, Src, Dst, Seq, payload).
+func TestDirOneSlotGoldenBytes(t *testing.T) {
+	for _, c := range []struct {
+		p   Payload
+		hex string
+	}{
+		{&DirPrepare{Target: 9, Epoch: 3, Ballot: 0x1_0002_0003},
+			"0b00000001000000000000000100000009000000030000000100020003"},
+		{&DirPromise{Target: 9, Epoch: 3, Ballot: 0x1_0002_0003, Ok: true,
+			Promised: 0x1_0002_0003, AccBallot: 0x10001, AccNode: 2},
+			"0c00000001000000000000000100000009000000030000000100020003010000000100020003000000000001000100000002"},
+		{&DirPromise{Target: 9, Epoch: 3, Ballot: 0x10001, Ok: false, Promised: 0x20001, AccNode: -1},
+			"0c000000010000000000000001000000090000000300000000000100010000000000000200010000000000000000ffffffff"},
+		{&DirAccept{Target: 9, Epoch: 3, Ballot: 0x1_0002_0003, Node: 2},
+			"0d0000000100000000000000010000000900000003000000010002000300000002"},
+		{&DirAccepted{Target: 9, Epoch: 3, Ballot: 0x1_0002_0003, Ok: true, Promised: 0x1_0002_0003},
+			"0e00000001000000000000000100000009000000030000000100020003010000000100020003"},
+		{&DirAccepted{Target: 9, Epoch: 3, Ballot: 0x10001, Ok: false, Promised: 0x30001},
+			"0e00000001000000000000000100000009000000030000000000010001000000000000030001"},
+		{&DirLearn{Target: 9, Epoch: 3, Node: 2},
+			"0f000000010000000000000001000000090000000300000002"},
+	} {
+		got := hex.EncodeToString((&Msg{Src: 1, Dst: 0, Seq: 1, Payload: c.p}).Marshal())
+		if got != c.hex {
+			t.Errorf("%T encodes to\n%s\nwant\n%s", c.p, got, c.hex)
+		}
+	}
+}
+
+// TestDirDecodeRejects: a decree message whose trailing bytes are not a
+// whole number of per-slot entries is malformed, and the kind bytes of the
+// retired group-decree protocol (reserved after MDirLookupReply so later
+// kinds keep their values) decode as unknown kinds.
+func TestDirDecodeRejects(t *testing.T) {
+	for _, c := range []struct {
+		p     Payload
+		entry int
+	}{
+		{&DirPrepare{Target: 9, Epoch: 3, Ballot: 1, More: &dirMore}, 8},
+		{&DirPromise{Target: 9, Epoch: 3, Ballot: 1, Ok: true, AccNode: -1, More: &dirAccs}, 12},
+		{&DirAccept{Target: 9, Epoch: 3, Ballot: 1, Node: 2, More: &dirVals}, 12},
+		{&DirLearn{Target: 9, Epoch: 3, Node: 2, More: &dirVals}, 12},
+	} {
+		buf := (&Msg{Src: 1, Dst: 0, Seq: 1, Payload: c.p}).Marshal()
+		for cut := 1; cut < c.entry; cut++ {
+			if _, err := Unmarshal(buf[:len(buf)-cut]); err == nil {
+				t.Errorf("%T with a %d-byte partial entry accepted", c.p, c.entry-cut)
+			}
+		}
+		if _, err := Unmarshal(buf[:len(buf)-c.entry]); err != nil {
+			t.Errorf("%T with one entry fewer rejected: %v", c.p, err)
+		}
+	}
+	if MDirLookupReply != 17 {
+		t.Fatalf("MDirLookupReply = %d; directory kind bytes moved", MDirLookupReply)
+	}
+	buf := (&Msg{Src: 1, Dst: 0, Seq: 1, Payload: &DirPrepare{Target: 9, Epoch: 3, Ballot: 1}}).Marshal()
+	for k := byte(18); k <= 22; k++ {
+		buf[0] = k
+		if _, err := Unmarshal(buf); err == nil {
+			t.Errorf("retired kind byte %d decoded", k)
+		}
+		if s := MsgKind(k).String(); s != fmt.Sprintf("msg(%d)", k) {
+			t.Errorf("retired kind byte %d has name %q", k, s)
 		}
 	}
 }
@@ -348,27 +453,6 @@ func TestWireSize(t *testing.T) {
 	}
 	if StringV([]byte("abcd")).WireSize() != 9 {
 		t.Error("string size")
-	}
-}
-
-func TestDirGroupMessageRoundtrips(t *testing.T) {
-	slots := []DirSlotRef{{Target: 9, Epoch: 3}, {Target: 12, Epoch: 1}}
-	for _, p := range []Payload{
-		&DirGPrepare{Token: 7, Ballot: 0x1_0002_0003, Slots: slots},
-		&DirGPromise{Token: 7, Ballot: 0x1_0002_0003, Ok: true,
-			Promised: 0x1_0002_0003, AccBallots: []uint64{0, 0x10001}, AccNodes: []int32{-1, 2}},
-		&DirGPromise{Token: 7, Ballot: 0x10001, Ok: false, Promised: 0x20001},
-		&DirGAccept{Token: 7, Ballot: 0x1_0002_0003, Slots: slots, Nodes: []int32{2, 0}},
-		&DirGAccepted{Token: 7, Ballot: 0x1_0002_0003, Ok: true, Promised: 0x1_0002_0003},
-		&DirGAccepted{Token: 8, Ballot: 0x10001, Ok: false, Promised: 0x30001},
-		&DirGLearn{Slots: slots, Nodes: []int32{2, 0}},
-		&DirGPrepare{Token: 9, Ballot: 0x10001}, // empty slot list survives
-	} {
-		m := &Msg{Src: 1, Dst: 0, Seq: 1, Payload: p}
-		got := roundtripMsg(t, m)
-		if !reflect.DeepEqual(m, got) {
-			t.Errorf("%T roundtrip mismatch:\n%+v\n%+v", p, m.Payload, got.Payload)
-		}
 	}
 }
 
