@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci build test vet emvet race emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke perfbench-smoke bench-baselines
+.PHONY: ci fmt build test vet emvet race emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke perfbench-smoke bench-baselines
 
-ci: vet build race emvet emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke perfbench-smoke
+ci: fmt vet build race emvet emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Every tracked Go file must be gofmt-clean. git ls-files keeps the
+# benchmark's build directory (.bench_build/, module sources) out of scope.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 emvet:
 	$(GO) run ./cmd/emvet examples/programs/*.em
@@ -85,11 +90,12 @@ jit-smoke:
 	$(GO) run ./cmd/embench -out .ci -baseline . jit > /dev/null
 	$(GO) run ./tools/jsoncheck .ci/BENCH_jit.json
 
-# The repository benchmark's own tests (generator oracle vs interpreter,
-# seed determinism, BENCHMARK.json agreement). perfbench is a nested
-# module, so the root `go test ./...` never reaches them.
+# The repository benchmark's vet and own tests (generator oracle vs
+# interpreter, seed determinism, BENCHMARK.json agreement). perfbench is a
+# nested module, so the root `go vet ./...` and `go test ./...` never
+# reach it.
 perfbench-smoke:
-	cd perfbench && $(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate the committed BENCH_*.json baselines (run after a deliberate
 # model change, then commit the diff).

@@ -1,6 +1,6 @@
 // Package auto is the adaptive-placement subsystem: pluggable policies that
-// consume the kernel's metrics (per-node instruction pressure, per-link and
-// per-object invocation traffic) plus the static facts the points-to
+// consume the kernel's placement feed (per-node instruction pressure and
+// per-object remote invocation traffic) plus the static facts the points-to
 // analysis exports (group-migration cohorts, pinned classes) and decide,
 // periodically, which objects should live where. The package is pure
 // decision logic — it imports nothing from the kernel; the kernel builds a
@@ -36,27 +36,19 @@ type ObjCall struct {
 	Count uint64
 }
 
-// Link is the cumulative remote-invocation count over one (src,dst) pair.
-type Link struct {
-	Src, Dst int
-	Count    uint64
-}
-
 // View is one periodic observation of the cluster, with cumulative
 // counters; the engine differences successive views into per-window Deltas.
 type View struct {
 	Now      int64
 	Nodes    int
 	Instrs   []uint64  // per-node cumulative executed instructions
-	Links    []Link    // cumulative per-link remote invocations
-	ObjCalls []ObjCall // cumulative per-(object, caller) remote invocations
+	ObjCalls []ObjCall // cumulative per-(object, caller) remote invocations, any order
 	Objects  []ObjInfo // resident plain objects, any order
 }
 
 // Delta is the traffic of one observation window, numerically sorted.
 type Delta struct {
 	Instrs   []uint64
-	Links    []Link    // sorted by (Src, Dst)
 	ObjCalls []ObjCall // sorted by (OID, Src)
 }
 
@@ -111,7 +103,6 @@ type Engine struct {
 	pol       Policy
 	static    Static
 	prevInstr []uint64
-	prevLink  map[[2]int]uint64
 	prevObj   map[objKey]uint64
 	ticks     int
 	log       []string
@@ -124,12 +115,7 @@ type objKey struct {
 
 // NewEngine wraps a policy (useful for tests injecting custom policies).
 func NewEngine(pol Policy, st Static) *Engine {
-	return &Engine{
-		pol:      pol,
-		static:   st,
-		prevLink: map[[2]int]uint64{},
-		prevObj:  map[objKey]uint64{},
-	}
+	return &Engine{pol: pol, static: st, prevObj: map[objKey]uint64{}}
 }
 
 // PolicyName returns the driven policy's name.
@@ -143,7 +129,14 @@ func (e *Engine) Log() []string { return e.log }
 func (e *Engine) Tick(v View) []Decision {
 	e.ticks++
 	d := e.delta(v)
-	sort.Slice(v.Objects, func(i, j int) bool { return v.Objects[i].OID < v.Objects[j].OID })
+	// An object mid-move under two-phase commit is resident at both ends
+	// until the source commits, so node id breaks OID ties.
+	sort.Slice(v.Objects, func(i, j int) bool {
+		if v.Objects[i].OID != v.Objects[j].OID {
+			return v.Objects[i].OID < v.Objects[j].OID
+		}
+		return v.Objects[i].Node < v.Objects[j].Node
+	})
 	byOID := make(map[uint32]ObjInfo, len(v.Objects))
 	for _, o := range v.Objects {
 		byOID[o.OID] = o
@@ -174,19 +167,6 @@ func (e *Engine) delta(v View) Delta {
 		d.Instrs[i] = cum - prev
 	}
 	e.prevInstr = append(e.prevInstr[:0], v.Instrs...)
-	for _, l := range v.Links {
-		k := [2]int{l.Src, l.Dst}
-		if w := l.Count - e.prevLink[k]; w > 0 {
-			d.Links = append(d.Links, Link{Src: l.Src, Dst: l.Dst, Count: w})
-		}
-		e.prevLink[k] = l.Count
-	}
-	sort.Slice(d.Links, func(i, j int) bool {
-		if d.Links[i].Src != d.Links[j].Src {
-			return d.Links[i].Src < d.Links[j].Src
-		}
-		return d.Links[i].Dst < d.Links[j].Dst
-	})
 	for _, oc := range v.ObjCalls {
 		k := objKey{oc.OID, oc.Src}
 		if w := oc.Count - e.prevObj[k]; w > 0 {

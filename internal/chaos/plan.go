@@ -61,14 +61,14 @@ type Plan struct {
 
 // Defaults.
 const (
-	defHeartbeat   = netsim.Micros(50_000)
-	defSuspect     = netsim.Micros(400_000)
-	defCommit      = netsim.Micros(1_000_000)
-	defRTOBase     = netsim.Micros(20_000)
-	defRTOMax      = netsim.Micros(320_000)
-	defMaxRetrans  = 10
-	defMoveRetry   = netsim.Micros(300_000)
-	defDelayBound  = netsim.Micros(1_000)
+	defHeartbeat  = netsim.Micros(50_000)
+	defSuspect    = netsim.Micros(400_000)
+	defCommit     = netsim.Micros(1_000_000)
+	defRTOBase    = netsim.Micros(20_000)
+	defRTOMax     = netsim.Micros(320_000)
+	defMaxRetrans = 10
+	defMoveRetry  = netsim.Micros(300_000)
+	defDelayBound = netsim.Micros(1_000)
 )
 
 // HeartbeatPeriod returns the effective heartbeat period.

@@ -1,15 +1,15 @@
 // The kernel side of adaptive placement: a periodic cluster-level tick
-// builds an auto.View from the metrics registry and the object tables,
-// consults the policy engine, and executes its decisions as (batched
-// cohort) migrations. The tick is a weak simulation event — placement never
-// keeps a finished program alive — and everything here is gated on
-// Config.AutoPolicy, so a policy-free run carries no trace of it.
+// builds an auto.View from each node's typed placement feed (remote
+// invocations sent, by target OID) and object table, consults the policy
+// engine, and executes its decisions as (batched cohort) migrations. The
+// tick is a weak simulation event — placement never keeps a finished
+// program alive — and everything here is gated on Config.AutoPolicy: a
+// policy-free run leaves every feed nil and carries no trace of it.
 
 package kernel
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/auto"
 	"repro/internal/ir"
@@ -28,8 +28,10 @@ func (c *Cluster) armAuto() error {
 	if err != nil {
 		return err
 	}
-	c.autoOn = true
 	c.autoEng = eng
+	for _, n := range c.Nodes {
+		n.autoCalls = map[uint32]uint64{}
+	}
 	c.autoCohort = map[string]map[string]bool{}
 	for _, set := range c.AutoCohorts {
 		for _, cls := range set {
@@ -82,38 +84,20 @@ func (c *Cluster) autoTick() {
 }
 
 // autoView snapshots the cluster for the policy engine: per-node
-// instruction pressure, the policy-feed traffic counters, and every
-// resident plain object with its pin status. Object order is canonical
-// (ascending OID).
+// instruction pressure, each node's cumulative remote calls per target
+// object, and every resident plain object with its pin status.
 func (c *Cluster) autoView() auto.View {
 	v := auto.View{Now: int64(c.Sim.Now()), Nodes: len(c.Nodes)}
 	v.Instrs = make([]uint64, len(c.Nodes))
 	for i, n := range c.Nodes {
 		v.Instrs[i] = n.Instrs
-	}
-	for _, cp := range c.Rec.Metrics().CountersPrefix("invoke_link") {
-		var src, dst int
-		if _, err := fmt.Sscanf(cp.Labels, "src=%d,dst=%d", &src, &dst); err == nil {
-			v.Links = append(v.Links, auto.Link{Src: src, Dst: dst, Count: cp.Value})
+		for id, cnt := range n.autoCalls {
+			v.ObjCalls = append(v.ObjCalls, auto.ObjCall{OID: id, Src: n.ID, Count: cnt})
 		}
-	}
-	for _, cp := range c.Rec.Metrics().CountersPrefix("invoke_obj") {
-		var id uint32
-		var src int
-		if _, err := fmt.Sscanf(cp.Labels, "oid=%d,src=%d", &id, &src); err == nil {
-			v.ObjCalls = append(v.ObjCalls, auto.ObjCall{OID: id, Src: src, Count: cp.Value})
-		}
-	}
-	for _, n := range c.Nodes {
-		ids := make([]uint32, 0, len(n.objects))
-		for id, o := range n.objects {
-			if o.Resident && o.Kind == ObjPlain && o.Code != nil {
-				ids = append(ids, uint32(id))
+		for _, o := range n.objects {
+			if !o.Resident || o.Kind != ObjPlain || o.Code == nil {
+				continue
 			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			o := n.objects[oid.OID(id)]
 			cls := o.Code.oc.Name
 			v.Objects = append(v.Objects, auto.ObjInfo{
 				OID: uint32(o.OID), Class: cls, Node: n.ID,
@@ -122,7 +106,6 @@ func (c *Cluster) autoView() auto.View {
 			})
 		}
 	}
-	sort.Slice(v.Objects, func(i, j int) bool { return v.Objects[i].OID < v.Objects[j].OID })
 	return v
 }
 

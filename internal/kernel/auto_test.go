@@ -103,12 +103,32 @@ func TestAutoPolicyBatchesCohort(t *testing.T) {
 	// The batch actually placed the pair: the service keeps working after
 	// the move (the output check above) and colocation drops the remote
 	// traffic, so there must be strictly fewer remote invokes than calls.
-	var remote uint64
-	for _, cp := range c.Rec.Metrics().CountersPrefix("remote_invokes") {
-		remote += cp.Value
-	}
-	if remote >= 40 {
+	if remote := dirCounter(c, "remote_invokes"); remote >= 40 {
 		t.Errorf("remote_invokes = %d; colocation never took effect", remote)
+	}
+}
+
+// TestAutoFeedCountsEachRemoteInvokeOnce: the placement feed is the
+// remote_invokes counter broken down by target object — summed over every
+// node and object, it equals the counter.
+func TestAutoFeedCountsEachRemoteInvokeOnce(t *testing.T) {
+	models := []netsim.MachineModel{mSun3, mSPARC}
+	c := runSrc(t, chattySrc, models, autoConfig())
+	if got := c.OutputText(); got != chattyWant {
+		t.Fatalf("output = %q, want %q", got, chattyWant)
+	}
+	var fed uint64
+	for _, n := range c.Nodes {
+		for _, cnt := range n.autoCalls {
+			fed += cnt
+		}
+	}
+	remote := dirCounter(c, "remote_invokes")
+	if remote == 0 {
+		t.Fatal("no remote invocations; the test proves nothing")
+	}
+	if fed != remote {
+		t.Errorf("placement feed counted %d remote invokes, remote_invokes = %d", fed, remote)
 	}
 }
 
@@ -147,7 +167,7 @@ func TestAutoGroupMoveChaosExactlyOnce(t *testing.T) {
 }
 
 // TestAutoOffLeavesNoTrace: with no policy configured the run must contain
-// no placement events, no policy-feed metrics, and no decision log.
+// no placement events, no placement feed, and no decision log.
 func TestAutoOffLeavesNoTrace(t *testing.T) {
 	models := []netsim.MachineModel{mSun3, mSPARC}
 	c := runSrc(t, chattySrc, models, DefaultConfig())
@@ -163,6 +183,11 @@ func TestAutoOffLeavesNoTrace(t *testing.T) {
 		if strings.HasPrefix(cp.Name, "invoke_") || strings.HasPrefix(cp.Name, "auto_") ||
 			strings.HasPrefix(cp.Name, "group_move") {
 			t.Errorf("policy-free run recorded metric %s{%s}", cp.Name, cp.Labels)
+		}
+	}
+	for _, n := range c.Nodes {
+		if n.autoCalls != nil {
+			t.Errorf("policy-free run allocated node%d's placement feed", n.ID)
 		}
 	}
 	if log := c.AutoDecisionLog(); log != nil {

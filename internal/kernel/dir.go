@@ -231,7 +231,7 @@ func (n *Node) dirResolve(dp *dirProposal, chosen bool) {
 			n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 				Kind: obs.EvDirDegraded, Obj: uint32(dp.p.Slot(i).OID), Str: "decree attempts exhausted"})
 		}
-		n.cluster.Rec.Metrics().Add("dir_degraded", obs.NodeLabels(n.ID, n.Spec.ID.String()), uint64(dp.p.Len()))
+		n.cluster.Rec.Metrics().Add("dir_degraded", n.labels, uint64(dp.p.Len()))
 	}
 	if done := dp.done; done != nil {
 		dp.done = nil
@@ -285,13 +285,12 @@ func (n *Node) recvDirAccepted(src int, p *wire.DirAccepted) {
 			Kind: obs.EvDirDecree, Obj: uint32(s.OID), A: uint64(s.Epoch), B: uint64(dp.p.Chosen(i))})
 		n.dirInvalidateLease(s.OID, s.Epoch)
 	}
-	lbl := obs.NodeLabels(n.ID, n.Spec.ID.String())
 	m := n.cluster.Rec.Metrics()
-	m.Add("dir_decrees", lbl, uint64(dp.p.Len()))
-	m.Add("dir_decree_rounds", lbl, uint64(dp.p.Attempt()))
+	m.Add("dir_decrees", n.labels, uint64(dp.p.Len()))
+	m.Add("dir_decree_rounds", n.labels, uint64(dp.p.Attempt()))
 	if dp.p.Len() > 1 {
-		m.Add("dir_group_decrees", lbl, 1)
-		m.Add("dir_group_slots", lbl, uint64(dp.p.Len()))
+		m.Add("dir_group_decrees", n.labels, 1)
+		m.Add("dir_group_slots", n.labels, uint64(dp.p.Len()))
 	}
 	learn := &wire.DirLearn{Target: key.OID, Epoch: key.Epoch, Node: dp.p.Chosen(0), More: dp.vals}
 	for _, r := range dp.replicas {
@@ -409,12 +408,11 @@ type dirLookup struct {
 // simulation can finish). done always fires exactly once; ok=false means
 // degraded or miss and the caller falls back to the forwarding chase.
 func (n *Node) dirLookupQuery(o oid.OID, timed bool, done func(ok bool, node int32, epoch uint32)) {
-	lbl := obs.NodeLabels(n.ID, n.Spec.ID.String())
 	if n.cluster.dirLeasePeriod() > 0 {
 		if l, ok := n.dirLeases[o]; ok {
 			if n.now() >= l.expires {
 				delete(n.dirLeases, o)
-				n.cluster.Rec.Metrics().Add("dir_lease_expired", lbl, 1)
+				n.cluster.Rec.Metrics().Add("dir_lease_expired", n.labels, 1)
 			} else if n.suspects[int(l.node)] || int(l.node) == n.ID {
 				// The leased home is suspect (the record is about to be
 				// superseded or the chase must cover it) or names this very
@@ -427,13 +425,13 @@ func (n *Node) dirLookupQuery(o oid.OID, timed bool, done func(ok bool, node int
 				// monotonic epoch guard that fences replica records
 				// (dirRefreshProxy) fences this one at the caller.
 				n.charge(uint64(n.cluster.Costs.SyscallCycles))
-				n.cluster.Rec.Metrics().Add("dir_lease_hits", lbl, 1)
+				n.cluster.Rec.Metrics().Add("dir_lease_hits", n.labels, 1)
 				done(true, l.node, l.epoch)
 				return
 			}
 		}
 	}
-	n.cluster.Rec.Metrics().Add("dir_lookups", lbl, 1)
+	n.cluster.Rec.Metrics().Add("dir_lookups", n.labels, 1)
 	target := -1
 	for _, r := range n.dirReplicasOf(o) {
 		if r == n.ID {
@@ -447,7 +445,7 @@ func (n *Node) dirLookupQuery(o oid.OID, timed bool, done func(ok bool, node int
 	if target < 0 {
 		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 			Kind: obs.EvDirDegraded, Obj: uint32(o), Str: "all replicas suspected"})
-		n.cluster.Rec.Metrics().Add("dir_degraded", lbl, 1)
+		n.cluster.Rec.Metrics().Add("dir_degraded", n.labels, 1)
 		done(false, -1, 0)
 		return
 	}
@@ -475,7 +473,7 @@ func (n *Node) armDirLookupTimer(lk *dirLookup) {
 		delete(n.dirLooks, lk.token)
 		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 			Kind: obs.EvDirDegraded, Obj: uint32(lk.oid), Str: "lookup timeout"})
-		n.cluster.Rec.Metrics().Add("dir_degraded", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+		n.cluster.Rec.Metrics().Add("dir_degraded", n.labels, 1)
 		lk.done(false, -1, 0)
 	})
 }
@@ -490,7 +488,7 @@ func (n *Node) recvDirLookupReply(src int, p *wire.DirLookupReply) {
 	hit := uint64(0)
 	if p.Ok {
 		hit = 1
-		n.cluster.Rec.Metrics().Add("dir_lookup_hits", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+		n.cluster.Rec.Metrics().Add("dir_lookup_hits", n.labels, 1)
 		if p.Lease > 0 && n.cluster.dirLeasePeriod() > 0 {
 			n.dirLeases[p.Target] = dirLease{node: p.Node, epoch: p.Epoch,
 				expires: n.now() + netsim.Micros(p.Lease)}
@@ -576,7 +574,7 @@ func (n *Node) dirRerouteInvoke(f *Frag, recv *Obj, opName string, args []uint32
 			// it; clear the stale bit so the next invoke takes the fast
 			// path instead of re-querying the shard every call.
 			recv.LocStale = false
-			n.cluster.Rec.Metrics().Add("dir_reroutes", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+			n.cluster.Rec.Metrics().Add("dir_reroutes", n.labels, 1)
 			f.Status = FragStateReady
 			n.invokeRemote(f, recv, opName, args)
 			return
@@ -641,7 +639,7 @@ func (n *Node) dirCompactTick() {
 			if ok && n.dirRefreshProxy(o, node, epoch) {
 				n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 					Kind: obs.EvDirCompact, Obj: uint32(id), A: uint64(epoch), B: uint64(uint32(node))})
-				n.cluster.Rec.Metrics().Add("dir_compactions", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+				n.cluster.Rec.Metrics().Add("dir_compactions", n.labels, 1)
 			}
 			o.LocStale = false
 			o.chained = false

@@ -24,8 +24,8 @@ func decreeMsgCount(c *Cluster, kinds ...string) uint64 {
 		want["msg="+k] = true
 	}
 	var total uint64
-	for _, cp := range c.Rec.Metrics().CountersPrefix("msgs") {
-		if want[cp.Labels] {
+	for _, cp := range c.Rec.Metrics().Snapshot(0).Counters {
+		if cp.Name == "msgs" && want[cp.Labels] {
 			total += cp.Value
 		}
 	}

@@ -31,8 +31,10 @@ func dirConfig(r int, plan *chaos.Plan) Config {
 // dirCounter sums a counter across all nodes.
 func dirCounter(c *Cluster, name string) uint64 {
 	var total uint64
-	for _, cp := range c.Rec.Metrics().CountersPrefix(name) {
-		total += cp.Value
+	for _, cp := range c.Rec.Metrics().Snapshot(0).Counters {
+		if cp.Name == name {
+			total += cp.Value
+		}
 	}
 	return total
 }

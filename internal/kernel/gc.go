@@ -169,8 +169,7 @@ func (n *Node) Collect() (GCStats, error) {
 	}
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 		Kind: obs.EvGCCycle, A: uint64(stats.Freed), B: uint64(stats.BytesFreed)})
-	n.cluster.Rec.Metrics().Add("gc_cycles",
-		obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+	n.cluster.Rec.Metrics().Add("gc_cycles", n.labels, 1)
 	return stats, nil
 }
 

@@ -269,9 +269,7 @@ type Cluster struct {
 	// appending to the shared slices above.
 	parallel bool
 
-	// Adaptive-placement state (see auto.go); autoOn gates the policy-feed
-	// metrics so policy-disabled runs stay byte-identical.
-	autoOn     bool
+	// Adaptive-placement state (see auto.go), nil when no policy is armed.
 	autoEng    *auto.Engine
 	autoCohort map[string]map[string]bool
 	autoPinned map[string]bool
@@ -528,23 +526,22 @@ func (n *Node) tracef(format string, args ...any) {
 func (c *Cluster) MetricsSnapshot() obs.Snapshot {
 	reg := c.Rec.Metrics()
 	for _, n := range c.Nodes {
-		lbl := obs.NodeLabels(n.ID, n.Spec.ID.String())
-		reg.SetGauge("msgs_sent", lbl, int64(n.MsgsSent))
-		reg.SetGauge("msgs_recv", lbl, int64(n.MsgsRecv))
-		reg.SetGauge("instrs", lbl, int64(n.Instrs))
-		reg.SetGauge("migrations", lbl, int64(n.Migrations))
-		reg.SetGauge("proto_conv_calls", lbl, int64(n.ProtoConvCalls))
-		reg.SetGauge("cpu_cycles", lbl, int64(n.CPU.Cycles))
+		reg.SetGauge("msgs_sent", n.labels, int64(n.MsgsSent))
+		reg.SetGauge("msgs_recv", n.labels, int64(n.MsgsRecv))
+		reg.SetGauge("instrs", n.labels, int64(n.Instrs))
+		reg.SetGauge("migrations", n.labels, int64(n.Migrations))
+		reg.SetGauge("proto_conv_calls", n.labels, int64(n.ProtoConvCalls))
+		reg.SetGauge("cpu_cycles", n.labels, int64(n.CPU.Cycles))
 		var s wire.Stats
 		s.Add(n.callConv.Stats())
 		s.Add(n.batchConv.Stats())
 		s.Add(n.rawConv.Stats())
-		reg.SetGauge("conv_calls", lbl+",kind=int", int64(s.IntCalls))
-		reg.SetGauge("conv_calls", lbl+",kind=real", int64(s.RealCalls))
-		reg.SetGauge("conv_calls", lbl+",kind=ref", int64(s.RefCalls))
-		reg.SetGauge("conv_values", lbl+",kind=int", int64(s.IntVals))
-		reg.SetGauge("conv_values", lbl+",kind=real", int64(s.RealVals))
-		reg.SetGauge("conv_values", lbl+",kind=ref", int64(s.RefVals))
+		reg.SetGauge("conv_calls", n.labels+",kind=int", int64(s.IntCalls))
+		reg.SetGauge("conv_calls", n.labels+",kind=real", int64(s.RealCalls))
+		reg.SetGauge("conv_calls", n.labels+",kind=ref", int64(s.RefCalls))
+		reg.SetGauge("conv_values", n.labels+",kind=int", int64(s.IntVals))
+		reg.SetGauge("conv_values", n.labels+",kind=real", int64(s.RealVals))
+		reg.SetGauge("conv_values", n.labels+",kind=ref", int64(s.RefVals))
 	}
 	nc := c.Net.Counters()
 	reg.SetGauge("net_frames", "", int64(nc.Frames))

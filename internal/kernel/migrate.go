@@ -215,7 +215,7 @@ func (n *Node) moveObject(o *Obj, dest int, fix bool) {
 			// invocation.
 			n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 				Kind: obs.EvMoveAbort, Obj: uint32(o.OID), B: uint64(dest), Str: "degraded"})
-			n.cluster.Rec.Metrics().Add("move_degraded", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+			n.cluster.Rec.Metrics().Add("move_degraded", n.labels, 1)
 			return
 		}
 	}
@@ -692,7 +692,7 @@ func (n *Node) recvMove(src int, p *wire.Move) {
 			// the earlier ack may have raced a crash window.
 			n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 				Kind: obs.EvMoveDupDrop, Span: p.SpanID, Obj: uint32(p.Object), B: uint64(src)})
-			n.cluster.Rec.Metrics().Add("move_dup_drops", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+			n.cluster.Rec.Metrics().Add("move_dup_drops", n.labels, 1)
 			n.sendMsg(src, &wire.MoveAck{Object: p.Object, SpanID: p.SpanID, Epoch: p.Epoch, Ok: true})
 			return
 		}
@@ -700,7 +700,7 @@ func (n *Node) recvMove(src int, p *wire.Move) {
 			// Protocol error: refuse the install; the source's abort path
 			// restores the object there and retries or degrades.
 			n.tracef("refusing move of %v from node%d: %v", p.Object, src, err)
-			n.cluster.Rec.Metrics().Add("move_rejects", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+			n.cluster.Rec.Metrics().Add("move_rejects", n.labels, 1)
 			n.sendMsg(src, &wire.MoveAck{Object: p.Object, SpanID: p.SpanID, Epoch: p.Epoch,
 				Ok: false, Err: err.Error()})
 			return
@@ -746,7 +746,7 @@ func (n *Node) recvMove(src int, p *wire.Move) {
 			// disagreement visible instead of crashing the node.
 			n.tracef("CONFLICT: %v arrived from node%d (span %d) but is already resident",
 				p.Object, src, p.SpanID)
-			n.cluster.Rec.Metrics().Add("move_conflicts", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+			n.cluster.Rec.Metrics().Add("move_conflicts", n.labels, 1)
 			n.sendMsg(src, &wire.MoveAck{Object: p.Object, SpanID: p.SpanID, Epoch: p.Epoch, Ok: true})
 			return
 		}

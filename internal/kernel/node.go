@@ -66,6 +66,8 @@ type Node struct {
 	Spec    *arch.Spec
 	CPU     netsim.CPU
 	Mem     []byte
+	// labels is the node's metric label set (obs.NodeLabels), built once.
+	labels string
 
 	heapNext uint32
 
@@ -183,6 +185,11 @@ type Node struct {
 	// ProtoConvCalls counts the network-format layer's per-byte conversion
 	// procedure calls (§3.6) made by this node.
 	ProtoConvCalls uint64
+	// autoCalls is the placement feed: remote invocations this node sent,
+	// keyed by target OID. Allocated by armAuto, nil when no policy is
+	// armed; owned by the node, and durable across a crash like the rest
+	// of its state.
+	autoCalls map[uint32]uint64
 }
 
 func newNode(c *Cluster, id int, m netsim.MachineModel) *Node {
@@ -195,6 +202,7 @@ func newNode(c *Cluster, id int, m netsim.MachineModel) *Node {
 		ID:         id,
 		Model:      m,
 		Spec:       spec,
+		labels:     obs.NodeLabels(id, spec.ID.String()),
 		CPU:        netsim.CPU{MHz: m.MHz},
 		Mem:        make([]byte, c.MemBytes),
 		heapNext:   64, // address 0 is nil; low words reserved
@@ -505,8 +513,7 @@ func (n *Node) enqueue(f *Frag) {
 	}
 	f.queued = true
 	n.runq = append(n.runq, f)
-	n.cluster.Rec.Metrics().Observe("runq_depth",
-		obs.NodeLabels(n.ID, n.Spec.ID.String()), uint64(len(n.runq)))
+	n.cluster.Rec.Metrics().Observe("runq_depth", n.labels, uint64(len(n.runq)))
 	n.schedule()
 }
 
@@ -601,7 +608,7 @@ func (n *Node) faultErr(f *Frag, cause error, msg string) {
 	}
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvFault,
 		Frag: f.ID, Str: msg})
-	n.cluster.Rec.Metrics().Add("faults", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+	n.cluster.Rec.Metrics().Add("faults", n.labels, 1)
 	// Propagate to a remote caller if one is waiting.
 	if f.Link.Node >= 0 {
 		n.sendMsg(int(f.Link.Node), &wire.Return{

@@ -615,8 +615,7 @@ func (n *Node) monAcquire(f *Frag, obj *Obj) bool {
 	m.Entry = append(m.Entry, f)
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 		Kind: obs.EvMonitorBlock, Frag: f.ID, Obj: uint32(obj.OID)})
-	n.cluster.Rec.Metrics().Add("monitor_contention",
-		obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+	n.cluster.Rec.Metrics().Add("monitor_contention", n.labels, 1)
 	return false
 }
 

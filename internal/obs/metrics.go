@@ -132,28 +132,6 @@ func (r *Registry) Observe(name, labels string, v uint64) {
 	r.mu.Unlock()
 }
 
-// CountersPrefix returns every counter whose metric name equals name,
-// sorted by storage key (deterministic). The policy engine uses it to read
-// labelled counter families (e.g. per-link invocation traffic) without
-// serializing a full snapshot.
-func (r *Registry) CountersPrefix(name string) []CounterPoint {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	keys := make([]string, 0, 8)
-	for k := range r.counters {
-		if n, _ := SplitKey(k); n == name {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	out := make([]CounterPoint, 0, len(keys))
-	for _, k := range keys {
-		n, labels := SplitKey(k)
-		out = append(out, CounterPoint{Name: n, Labels: labels, Value: r.counters[k]})
-	}
-	return out
-}
-
 // CounterPoint is one counter in a snapshot.
 type CounterPoint struct {
 	Name   string `json:"name"`
