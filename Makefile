@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt build test vet emvet race emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke perfbench-smoke bench-baselines
+.PHONY: ci fmt build test vet emvet docflags race emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke perfbench-smoke bench-baselines
 
-ci: fmt vet build race emvet emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke perfbench-smoke
+ci: fmt vet build race emvet docflags emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,22 @@ fmt:
 
 emvet:
 	$(GO) run ./cmd/emvet examples/programs/*.em
+
+# Every flag the docs show after a command name (`emrun -dir 3`,
+# `embench -baseline .`, ...) must be one that command's -h lists. A
+# command's words run to the end of the line or code span, or a pipe,
+# redirection or comment.
+docflags:
+	mkdir -p .ci/bin
+	$(GO) build -o .ci/bin/ ./cmd/...
+	set -e; for cmd in emrun emtrace embench emvet emc; do \
+		.ci/bin/$$cmd -h > .ci/$$cmd.help 2>&1 || true; \
+		for f in $$(grep -ohE "\b$$cmd( +[^ \`|>#]+)+" README.md DESIGN.md EXPERIMENTS.md | \
+				grep -oE ' -[A-Za-z][A-Za-z0-9_-]*' | sort -u); do \
+			grep -qE "^ +$$f([[:space:]]|$$)" .ci/$$cmd.help || \
+				{ echo "docflags: $$cmd $$f is named in the docs but not in $$cmd -h"; exit 1; }; \
+		done; \
+	done
 
 # A Chrome trace of the kilroy tour must export and parse as JSON.
 emtrace-smoke:

@@ -1,15 +1,18 @@
 // Command embench regenerates the paper's evaluation: Table 1 (thread
 // mobility timings), Figure 2 (the thread-state specialization hierarchy),
 // Figures 3/4 (bridging code), the §3.6 intra-node performance invariant,
-// and the conversion-routine ablation.
+// and the conversion-routine ablation; and the studies of this system's
+// own extensions: the parallel engine's speedup (par), the dispatch tiers
+// (jit), adaptive placement (auto), the replicated directory (dir) and
+// static frame shrink (shrink).
 //
 // Usage:
 //
-//	embench [-out dir] [-baseline dir] [table1|fig1|fig2|fig3|intranode|conv|ablations|all]
+//	embench [-out dir] [-baseline dir] [fig1|table1|fig2|fig3|intranode|conv|ablations|par|jit|auto|dir|shrink|all]
 //
-// The table1, fig2 and conv experiments additionally write machine-readable
-// results (BENCH_table1.json, BENCH_fig2.json, BENCH_conv.json) into -out
-// (default: the current directory) for CI and plotting scripts.
+// The table1, fig2, conv, par, jit, auto and dir experiments additionally
+// write machine-readable results (BENCH_<name>.json) into -out (default:
+// the current directory) for CI and plotting scripts.
 //
 // With -baseline, each freshly written BENCH_*.json is compared against
 // the file of the same name in the baseline directory (typically the
@@ -143,12 +146,13 @@ func shrink(string) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: embench [-out dir] [subcommand]")
+	fmt.Fprintln(os.Stderr, "usage: embench [-out dir] [-baseline dir] [subcommand]")
 	fmt.Fprint(os.Stderr, "subcommands: all (default)")
 	for _, s := range subcommands {
 		fmt.Fprint(os.Stderr, ", ", s.name)
 	}
 	fmt.Fprintln(os.Stderr)
+	flag.PrintDefaults()
 }
 
 func main() {

@@ -4,8 +4,9 @@
 // Usage:
 //
 //	emrun [-net spec] [-mode enhanced|original|batched|fastpath]
-//	      [-chaos plan] [-parallel] [-auto policy] [-dir n] [-nofuse]
-//	      [-legacy] [-trace] [-stats] file.em
+//	      [-chaos plan] [-parallel] [-auto policy] [-auto-period µs]
+//	      [-auto-log] [-dir n] [-dir-lease µs] [-legacy] [-trace]
+//	      [-stats] [-vetload] file.em
 //
 // The network spec is a comma-separated list of machine models, e.g.
 // "sparc,vax,sun3,hp1,hp2" (default: the paper's Figure 1 network
@@ -20,6 +21,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/dir"
+	"repro/internal/kernel"
 )
 
 func main() {
@@ -29,8 +31,6 @@ func main() {
 	stats := flag.Bool("stats", false, "print per-node statistics")
 	vetLoad := flag.Bool("vetload", false, "nodes vet each code object's mobility metadata before loading it")
 	parallel := flag.Bool("parallel", false, "run each node on its own goroutine (identical results; see DESIGN.md §12)")
-	noSharpen := flag.Bool("nosharpen", false, "disable live-set sharpening (dead frame slots ship stale payload instead of canonical zero)")
-	noFuse := flag.Bool("nofuse", false, "disable superinstruction fusion (dispatch on the plain predecoded path)")
 	legacy := flag.Bool("legacy", false, "force the byte-at-a-time reference emulator (slowest; identical results)")
 	chaosSpec := flag.String("chaos", "", "seeded fault plan, e.g. seed=7,drop=0.05,dup=0.02,crash=1@20000:50000 (see internal/chaos)")
 	autoPolicy := flag.String("auto", "", "adaptive placement policy: greedy-colocate or load-balance (sequential engine only)")
@@ -38,10 +38,9 @@ func main() {
 	autoLog := flag.Bool("auto-log", false, "print the placement decision log after the run")
 	dirReplicas := flag.Int("dir", 0, "arm the replicated object directory with N replicas per shard (0: off)")
 	dirLease := flag.Int64("dir-lease", 0, "directory read-lease duration in simulated µs (0: lease-free lookups)")
-	dirNoGroup := flag.Bool("dir-nogroup", false, "disable batched group decrees (each cohort member decrees alone)")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: emrun [-net spec] [-mode m] [-chaos plan] [-parallel] [-auto policy] [-dir n] [-trace] [-stats] [-vetload] file.em")
+		fmt.Fprintln(os.Stderr, "usage: emrun [-net spec] [-mode m] [-chaos plan] [-parallel] [-auto policy] [-auto-period µs] [-auto-log] [-dir n] [-dir-lease µs] [-legacy] [-trace] [-stats] [-vetload] file.em")
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
@@ -69,10 +68,9 @@ func main() {
 		}
 		*dirReplicas = dcfg.Replicas
 	}
-	opts := core.Options{Mode: cm, VetOnLoad: *vetLoad, Parallel: *parallel, NoSharpen: *noSharpen,
-		NoFuse: *noFuse, LegacyDispatch: *legacy,
-		AutoPolicy: *autoPolicy, AutoPeriodMicros: *autoPeriod, DirReplicas: *dirReplicas,
-		DirLeaseMicros: *dirLease, DirNoGroupDecrees: *dirNoGroup}
+	opts := core.Options{Parallel: *parallel, Config: kernel.Config{Mode: cm, VetOnLoad: *vetLoad,
+		LegacyDispatch: *legacy, AutoPolicy: *autoPolicy, AutoPeriodMicros: *autoPeriod,
+		DirReplicas: *dirReplicas, DirLeaseMicros: *dirLease}}
 	if *chaosSpec != "" {
 		plan, err := chaos.ParsePlan(*chaosSpec)
 		if err != nil {

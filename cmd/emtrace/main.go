@@ -65,7 +65,8 @@ func runUnder(netSpec, mode, chaosSpec, file string) (*core.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := core.Options{Mode: cm}
+	var opts core.Options
+	opts.Mode = cm
 	if chaosSpec != "" {
 		if opts.Chaos, err = chaos.ParsePlan(chaosSpec); err != nil {
 			return nil, err

@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/kernel"
 	"repro/internal/netsim"
 )
 
@@ -58,7 +57,7 @@ func main() {
 		netsim.HP9000_433s,
 		netsim.HP9000_385,
 	}
-	sys, err := core.NewSystem(prog, machines, core.Options{Mode: kernel.ModeEnhanced})
+	sys, err := core.NewSystem(prog, machines, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 // Package auto is the adaptive-placement subsystem: pluggable policies that
 // consume the kernel's placement feed (per-node instruction pressure and
-// per-object remote invocation traffic) plus the static facts the points-to
-// analysis exports (group-migration cohorts, pinned classes) and decide,
-// periodically, which objects should live where. The package is pure
-// decision logic — it imports nothing from the kernel; the kernel builds a
-// View each tick and executes the returned Decisions (see kernel/auto.go).
+// per-object remote invocation traffic) and decide, periodically, which
+// objects should live where. The package is pure decision logic — it
+// imports nothing from the kernel; the kernel builds a View each tick and
+// executes the returned Decisions (see kernel/auto.go). The static facts
+// the points-to analysis exports stay on the kernel side: it moves each
+// decided object's group-migration cohort with it and marks instances of
+// pinned classes ObjInfo.Pinned.
 //
 // Determinism is a hard requirement: the same sequence of Views must yield
 // the same sequence of Decisions and a byte-identical decision log, because
@@ -69,20 +71,11 @@ type Policy interface {
 	Decide(v View, d Delta) []Decision
 }
 
-// Static carries the compile-time facts the points-to analysis exports.
-type Static struct {
-	// Cohorts are class-name groups that migrate together (pta.Cohorts).
-	Cohorts [][]string
-	// Pinned are class names reachable from fixed objects (immobile-reach):
-	// the engine never schedules their instances.
-	Pinned []string
-}
-
 // Names lists the registered policies.
 func Names() []string { return []string{"greedy-colocate", "load-balance"} }
 
 // New builds an engine driving the named policy.
-func New(policy string, st Static) (*Engine, error) {
+func New(policy string) (*Engine, error) {
 	var pol Policy
 	switch policy {
 	case "greedy-colocate":
@@ -93,7 +86,7 @@ func New(policy string, st Static) (*Engine, error) {
 		return nil, fmt.Errorf("auto: unknown policy %q (have: %s)",
 			policy, strings.Join(Names(), ", "))
 	}
-	return NewEngine(pol, st), nil
+	return NewEngine(pol), nil
 }
 
 // Engine differences successive Views, consults the policy, filters out
@@ -101,10 +94,8 @@ func New(policy string, st Static) (*Engine, error) {
 // decision log.
 type Engine struct {
 	pol       Policy
-	static    Static
 	prevInstr []uint64
 	prevObj   map[objKey]uint64
-	ticks     int
 	log       []string
 }
 
@@ -114,8 +105,8 @@ type objKey struct {
 }
 
 // NewEngine wraps a policy (useful for tests injecting custom policies).
-func NewEngine(pol Policy, st Static) *Engine {
-	return &Engine{pol: pol, static: st, prevObj: map[objKey]uint64{}}
+func NewEngine(pol Policy) *Engine {
+	return &Engine{pol: pol, prevObj: map[objKey]uint64{}}
 }
 
 // PolicyName returns the driven policy's name.
@@ -127,7 +118,6 @@ func (e *Engine) Log() []string { return e.log }
 // Tick consumes one observation and returns the legal decisions, stamped
 // with the policy name and appended to the log.
 func (e *Engine) Tick(v View) []Decision {
-	e.ticks++
 	d := e.delta(v)
 	// An object mid-move under two-phase commit is resident at both ends
 	// until the source commits, so node id breaks OID ties.

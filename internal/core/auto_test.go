@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/auto/workgen"
+	"repro/internal/kernel"
 	"repro/internal/obs"
 )
 
@@ -19,7 +20,7 @@ import (
 func TestAutoDecisionLogDeterministic(t *testing.T) {
 	src := workgen.Generate(workgen.Config{Seed: 7, Services: 3, Sessions: 2, Requests: 12, Nodes: 3})
 	run := func() (string, []byte) {
-		sys, err := RunSource(src, Figure1Network(), Options{AutoPolicy: "greedy-colocate"})
+		sys, err := RunSource(src, Figure1Network(), Options{Config: kernel.Config{AutoPolicy: "greedy-colocate"}})
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -46,10 +47,10 @@ func TestAutoPolicyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSystem(prog, Figure1Network(), Options{AutoPolicy: "nope"}); err == nil {
+	if _, err := NewSystem(prog, Figure1Network(), Options{Config: kernel.Config{AutoPolicy: "nope"}}); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if _, err := NewSystem(prog, Figure1Network(), Options{AutoPolicy: "greedy-colocate", Parallel: true}); err == nil {
+	if _, err := NewSystem(prog, Figure1Network(), Options{Config: kernel.Config{AutoPolicy: "greedy-colocate"}, Parallel: true}); err == nil {
 		t.Error("auto + parallel accepted; the policy tick needs the sequential engine")
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/chaos"
 	"repro/internal/codegen"
 	"repro/internal/ir"
 	"repro/internal/kernel"
@@ -81,81 +80,23 @@ func CompileInfo(src string) (*types.Info, *codegen.Program, error) {
 	return info, p, nil
 }
 
-// Options configures a System.
+// Options configures a System: the kernel configuration (the zero value
+// is the standard one; see kernel.Config) plus what core adds around it.
+// AutoCohorts and AutoPinned are derived: whenever AutoPolicy is set,
+// NewSystem fills them from the program with AutoFacts.
 type Options struct {
-	// Mode selects original (homogeneous-only) vs enhanced conversion.
-	Mode kernel.ConvMode
-	// VetOnLoad makes every node statically vet a code object's mobility
-	// metadata before loading it (see internal/vet), refusing programs
-	// whose metadata would corrupt a migrating thread.
-	VetOnLoad bool
+	kernel.Config
 	// Placement maps root objects to nodes (nil: all on node 0).
 	Placement func(objName string, rootIdx int) int
 	// MaxEvents bounds the simulation (0: a generous default).
 	MaxEvents uint64
-	// LegacyDispatch forces the byte-at-a-time reference emulator instead
-	// of predecoded dispatch (identical observable behavior; used by the
-	// differential tests).
-	LegacyDispatch bool
-	// NoFuse disables superinstruction fusion, keeping dispatch on the
-	// plain predecoded path (identical observable behavior; the triage
-	// escape hatch and the middle arm of the differential tests).
-	NoFuse bool
-	// SliceInstrs overrides the scheduling-slice instruction budget
-	// (0: the kernel default). The differential tests shrink it to force
-	// constant preemption, exercising mid-run suspend/resume.
-	SliceInstrs int
-	// Trace receives kernel event lines.
-	Trace func(string)
-	// Chaos, when non-nil, injects a seeded deterministic fault plan
-	// (frame drops, duplicates, delays, corruption, node crashes and
-	// link partitions) and switches the kernel's migration protocol to
-	// its crash-tolerant mode (see internal/chaos and DESIGN.md §10).
-	Chaos *chaos.Plan
 	// Parallel runs each node's events on its own goroutine, using the
 	// network's minimum link latency as conservative lookahead. Observable
 	// results (printed output, faults, events, spans, metrics, simulated
 	// time) are identical to the sequential engine; see DESIGN.md §12.
-	Parallel bool
-	// AutoPolicy arms the adaptive-placement subsystem (internal/auto)
-	// with the named policy (see auto.Names). The static facts the policy
-	// needs — group-migration cohorts and immobile-reach pinned classes —
-	// are computed here with internal/pta and handed to the kernel as
-	// class-name lists. Placement requires the sequential engine: the
+	// Adaptive placement (AutoPolicy) requires the sequential engine: the
 	// policy tick is a cluster-level simulation event.
-	AutoPolicy string
-	// AutoPeriodMicros overrides the policy tick period (0: the kernel
-	// default).
-	AutoPeriodMicros int64
-	// AutoNoBatch disables cohort batching: each placement decision moves
-	// only the named object (the control arm of the batching experiment).
-	AutoNoBatch bool
-	// NoSharpen disables live-set sharpening (Config.SharpenLiveSets):
-	// statically dead frame slots then ship their stale payload instead of
-	// the canonical zero. Observable behavior is identical either way; the
-	// flag exists as the escape hatch and for the differential tests.
-	NoSharpen bool
-	// DirReplicas arms the replicated object directory (internal/dir) with
-	// this many replicas per shard (clamped to the node count). 0 — the
-	// default — leaves the directory off and every run byte-identical to
-	// the pre-directory kernel.
-	DirReplicas int
-	// DirCompactPeriodMicros overrides the directory compactor tick period
-	// (0: the kernel default).
-	DirCompactPeriodMicros int64
-	// DirLeaseMicros, when > 0 with the directory armed, makes shard
-	// replicas grant that many simulated microseconds of read lease on
-	// each lookup hit, letting repeat locates skip the shard query. 0 —
-	// the default — keeps lookups lease-free.
-	DirLeaseMicros int64
-	// DirNoGroupDecrees disables batched group decrees: every member of a
-	// migrated cohort commits its location record in its own single-slot
-	// decree round (the pre-batching wire pattern).
-	DirNoGroupDecrees bool
-	// LinkLatencies adds per-link extra latency (simulated microseconds)
-	// on top of the uniform network latency, giving the topology a
-	// locality structure the directory's replica placement can exploit.
-	LinkLatencies []kernel.LinkLatency
+	Parallel bool
 }
 
 // System is a compiled program loaded on a simulated network.
@@ -220,9 +161,7 @@ func ParseMode(name string) (kernel.ConvMode, error) {
 
 // NewSystem loads prog onto a cluster of the given machines.
 func NewSystem(prog *codegen.Program, machines []netsim.MachineModel, opts Options) (*System, error) {
-	cfg := kernel.DefaultConfig()
-	cfg.Mode = opts.Mode
-	cfg.Trace = opts.Trace
+	cfg := opts.Config
 	if opts.Parallel {
 		// The text sink is a plain callback with no locking; under the
 		// parallel engine events are emitted from node goroutines, so the
@@ -230,20 +169,7 @@ func NewSystem(prog *codegen.Program, machines []netsim.MachineModel, opts Optio
 		// run instead of rendering lines as they happen.
 		cfg.Trace = nil
 	}
-	cfg.VetOnLoad = opts.VetOnLoad
-	cfg.LegacyDispatch = opts.LegacyDispatch
-	cfg.NoFuse = opts.NoFuse
-	if opts.SliceInstrs > 0 {
-		cfg.SliceInstrs = opts.SliceInstrs
-	}
-	cfg.Chaos = opts.Chaos
-	cfg.SharpenLiveSets = !opts.NoSharpen
-	cfg.DirReplicas = opts.DirReplicas
-	cfg.DirCompactPeriodMicros = opts.DirCompactPeriodMicros
-	cfg.DirLeaseMicros = opts.DirLeaseMicros
-	cfg.DirNoGroupDecrees = opts.DirNoGroupDecrees
-	cfg.LinkLatencies = opts.LinkLatencies
-	if opts.AutoPolicy != "" {
+	if cfg.AutoPolicy != "" {
 		if opts.Parallel {
 			return nil, fmt.Errorf("core: adaptive placement (-auto) requires the sequential engine")
 		}
@@ -251,11 +177,7 @@ func NewSystem(prog *codegen.Program, machines []netsim.MachineModel, opts Optio
 		if err != nil {
 			return nil, fmt.Errorf("core: placement analysis: %w", err)
 		}
-		cfg.AutoPolicy = opts.AutoPolicy
-		cfg.AutoPeriodMicros = opts.AutoPeriodMicros
-		cfg.AutoNoBatch = opts.AutoNoBatch
-		cfg.AutoCohorts = cohorts
-		cfg.AutoPinned = pinned
+		cfg.AutoCohorts, cfg.AutoPinned = cohorts, pinned
 	}
 	cl, err := kernel.NewCluster(prog, machines, cfg)
 	if err != nil {

@@ -98,7 +98,7 @@ end Main`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSystem(prog, Figure1Network(), Options{Mode: kernel.ModeOriginal}); err == nil {
+	if _, err := NewSystem(prog, Figure1Network(), Options{Config: kernel.Config{Mode: kernel.ModeOriginal}}); err == nil {
 		t.Error("original mode on a heterogeneous network must be rejected")
 	}
 }

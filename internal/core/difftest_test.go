@@ -1,8 +1,8 @@
 // Differential validation of the dispatch tiers: every example program,
 // on every ISA (homogeneous clusters) plus the heterogeneous Figure 1
 // network, must behave identically under the legacy byte-at-a-time
-// emulator (arch.Step), the predecoded instruction cache, and the fused
-// superinstruction dispatcher — same printed lines, same per-node cycle
+// emulator (arch.Step) and the fused superinstruction dispatcher — same
+// printed lines, same per-node cycle
 // and instruction counts, same faults, same final memory images, and a
 // byte-identical rendered event stream (which embeds every trap-driven
 // kernel event). A second matrix shrinks the scheduling slice so threads
@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 )
@@ -32,15 +33,14 @@ type dispatchRun struct {
 	eventLog []byte
 }
 
-// dispatchArms enumerates the three dispatch tiers. All arms of one
+// dispatchArms enumerates the two dispatch tiers. All arms of one
 // (program, network, slice) cell must be byte-identical.
 var dispatchArms = []struct {
 	name string
 	opts Options
 }{
 	{"fused", Options{}}, // the default path
-	{"predecode", Options{NoFuse: true}},
-	{"legacy", Options{LegacyDispatch: true}},
+	{"legacy", Options{Config: kernel.Config{LegacyDispatch: true}}},
 }
 
 func captureDispatch(t *testing.T, src string, machines []netsim.MachineModel, opts Options) dispatchRun {
@@ -170,7 +170,9 @@ func TestDispatchDifferentialTinySlice(t *testing.T) {
 		}
 		src := string(srcBytes)
 		t.Run(filepath.Base(pf), func(t *testing.T) {
-			ref := captureDispatch(t, src, net, Options{SliceInstrs: 13})
+			var tiny Options
+			tiny.SliceInstrs = 13
+			ref := captureDispatch(t, src, net, tiny)
 			for _, arm := range dispatchArms[1:] {
 				opts := arm.opts
 				opts.SliceInstrs = 13

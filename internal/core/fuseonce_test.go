@@ -40,14 +40,14 @@ func TestFuseOncePerLoadedFunc(t *testing.T) {
 		t.Errorf("Fuse ran %d times for %d loaded functions; migration re-install must not re-fuse", builds, loaded)
 	}
 
-	// The escape hatches must not fuse at all.
-	for _, opts := range []Options{{NoFuse: true}, {LegacyDispatch: true}} {
-		before := arch.FuseBuildCount()
-		if _, err := RunSource(string(srcBytes), Figure1Network(), opts); err != nil {
-			t.Fatal(err)
-		}
-		if d := arch.FuseBuildCount() - before; d != 0 {
-			t.Errorf("%+v: Fuse ran %d times, want 0", opts, d)
-		}
+	// The legacy reference emulator must not fuse at all.
+	var legacy Options
+	legacy.LegacyDispatch = true
+	before = arch.FuseBuildCount()
+	if _, err := RunSource(string(srcBytes), Figure1Network(), legacy); err != nil {
+		t.Fatal(err)
+	}
+	if d := arch.FuseBuildCount() - before; d != 0 {
+		t.Errorf("legacy dispatch: Fuse ran %d times, want 0", d)
 	}
 }

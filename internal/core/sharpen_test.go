@@ -1,6 +1,6 @@
 // Differential validation of live-set sharpening: every example program,
 // on every ISA plus the heterogeneous Figure 1 network, must behave
-// identically with Config.SharpenLiveSets on (the default) and off —
+// identically with sharpening on (the default) and off (Config.NoSharpen) —
 // same printed lines, simulated time, faults, per-node cycle/instruction
 // counts, final memory images, wire payload bytes and rendered event
 // stream. Sharpening substitutes canonical zeros for pta-dead slots
@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 )
@@ -30,7 +31,7 @@ type sharpenRun struct {
 
 func captureSharpen(t *testing.T, src string, machines []netsim.MachineModel, noSharpen bool) sharpenRun {
 	t.Helper()
-	sys, err := RunSource(src, machines, Options{NoSharpen: noSharpen})
+	sys, err := RunSource(src, machines, Options{Config: kernel.Config{NoSharpen: noSharpen}})
 	if err != nil {
 		t.Fatalf("run (nosharpen=%v): %v", noSharpen, err)
 	}

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/auto/workgen"
 	"repro/internal/core"
+	"repro/internal/kernel"
 )
 
 // AutoResult is one configuration's measurement.
@@ -41,7 +42,7 @@ var autoWorkload = workgen.Config{
 // autoArm runs one configuration of the study.
 func autoArm(src, label, policy string, noBatch bool) (AutoResult, error) {
 	sys, err := core.RunSource(src, core.Figure1Network(), core.Options{
-		AutoPolicy: policy, AutoNoBatch: noBatch,
+		Config: kernel.Config{AutoPolicy: policy, AutoNoBatch: noBatch},
 	})
 	if err != nil {
 		return AutoResult{}, fmt.Errorf("%s: %w", label, err)

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/auto/workgen"
 	"repro/internal/core"
+	"repro/internal/kernel"
 )
 
 var update = flag.Bool("update", false, "rewrite the .golden files")
@@ -32,7 +33,7 @@ func TestAutoStudyDecisionLogs(t *testing.T) {
 	for _, a := range arms {
 		t.Run(a.golden, func(t *testing.T) {
 			sys, err := core.RunSource(src, core.Figure1Network(), core.Options{
-				AutoPolicy: a.policy, AutoNoBatch: a.noBatch,
+				Config: kernel.Config{AutoPolicy: a.policy, AutoNoBatch: a.noBatch},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -23,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/kernel"
 	"repro/internal/netsim"
 )
 
@@ -217,7 +216,7 @@ func generate(seed int64, moves bool, nnodes int) string {
 // runNative executes src on the given machines and returns the output.
 func runNative(t *testing.T, src string, machines []netsim.MachineModel) string {
 	t.Helper()
-	sys, err := core.RunSource(src, machines, core.Options{Mode: kernel.ModeEnhanced})
+	sys, err := core.RunSource(src, machines, core.Options{})
 	if err != nil {
 		t.Fatalf("native run: %v\nprogram:\n%s", err, src)
 	}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/auto/workgen"
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/kernel"
 )
 
 // DirResult is one configuration's measurement.
@@ -107,8 +108,8 @@ func dirPlan() *chaos.Plan {
 }
 
 // dirArm runs one configuration of the study.
-func dirArm(label, src string, opts core.Options) (DirResult, error) {
-	sys, err := core.RunSource(src, core.Figure1Network(), opts)
+func dirArm(label, src string, cfg kernel.Config) (DirResult, error) {
+	sys, err := core.RunSource(src, core.Figure1Network(), core.Options{Config: cfg})
 	if err != nil {
 		return DirResult{}, fmt.Errorf("%s: %w", label, err)
 	}
@@ -163,22 +164,22 @@ func DirStudy() ([]DirResult, string, error) {
 	arms := []struct {
 		label string
 		src   string
-		opts  core.Options
+		cfg   kernel.Config
 	}{
-		{"off/clean", dirWorkload, core.Options{}},
-		{"dir3/clean", dirWorkload, core.Options{DirReplicas: 3}},
-		{"dir3/lease", dirWorkload, core.Options{DirReplicas: 3, DirLeaseMicros: 2_000_000}},
-		{"off/crash", dirWorkload, core.Options{Chaos: dirPlan()}},
-		{"dir3/crash", dirWorkload, core.Options{DirReplicas: 3, Chaos: dirPlan()}},
+		{"off/clean", dirWorkload, kernel.Config{}},
+		{"dir3/clean", dirWorkload, kernel.Config{DirReplicas: 3}},
+		{"dir3/lease", dirWorkload, kernel.Config{DirReplicas: 3, DirLeaseMicros: 2_000_000}},
+		{"off/crash", dirWorkload, kernel.Config{Chaos: dirPlan()}},
+		{"dir3/crash", dirWorkload, kernel.Config{DirReplicas: 3, Chaos: dirPlan()}},
 		// Full replication: every shard shares one replica set, so every
 		// cohort is eligible to batch (with r < n, cohort members whose
 		// shards replicate on different node sets must decree alone).
-		{"dir4/group", groupSrc, core.Options{DirReplicas: 4, AutoPolicy: "greedy-colocate"}},
-		{"dir4/nogroup", groupSrc, core.Options{DirReplicas: 4, AutoPolicy: "greedy-colocate", DirNoGroupDecrees: true}},
+		{"dir4/group", groupSrc, kernel.Config{DirReplicas: 4, AutoPolicy: "greedy-colocate"}},
+		{"dir4/nogroup", groupSrc, kernel.Config{DirReplicas: 4, AutoPolicy: "greedy-colocate", DirNoGroupDecrees: true}},
 	}
 	var out []DirResult
 	for _, a := range arms {
-		r, err := dirArm(a.label, a.src, a.opts)
+		r, err := dirArm(a.label, a.src, a.cfg)
 		if err != nil {
 			return nil, "", err
 		}

@@ -79,7 +79,7 @@ func Figure2() ([]Fig2Row, error) {
 
 	for _, m := range []netsim.MachineModel{netsim.VAXstation2000, netsim.Sun3_100, netsim.SPARCstationSLC} {
 		start = time.Now()
-		sys, err := core.NewSystem(prog, []netsim.MachineModel{m}, core.Options{Mode: kernel.ModeEnhanced})
+		sys, err := core.NewSystem(prog, []netsim.MachineModel{m}, core.Options{})
 		if err != nil {
 			return nil, err
 		}

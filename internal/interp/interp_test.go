@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ir"
-	"repro/internal/kernel"
 	"repro/internal/lang/types"
 	"repro/internal/netsim"
 )
@@ -31,8 +30,7 @@ func runAllLevels(t *testing.T, src string) (string, string, string) {
 	if len(b.RT().Faults) > 0 {
 		t.Fatalf("bytecode faults: %v", b.RT().Faults)
 	}
-	sys, err := core.NewSystem(prog, []netsim.MachineModel{netsim.SPARCstationSLC},
-		core.Options{Mode: kernel.ModeEnhanced})
+	sys, err := core.NewSystem(prog, []netsim.MachineModel{netsim.SPARCstationSLC}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

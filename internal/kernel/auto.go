@@ -24,7 +24,7 @@ const DefaultAutoPeriodMicros = 20000
 
 // armAuto builds the policy engine and schedules the first tick.
 func (c *Cluster) armAuto() error {
-	eng, err := auto.New(c.AutoPolicy, auto.Static{Cohorts: c.AutoCohorts, Pinned: c.AutoPinned})
+	eng, err := auto.New(c.AutoPolicy)
 	if err != nil {
 		return err
 	}

@@ -11,6 +11,7 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -104,7 +105,10 @@ func DefaultCosts() Costs {
 	}
 }
 
-// Config configures a cluster.
+// Config configures a cluster. The zero Config is the standard
+// configuration: NewCluster fills zero Costs, MemBytes, StackSize and
+// SliceInstrs with DefaultConfig's values, and every other zero field
+// leaves its feature off or at its default.
 type Config struct {
 	Mode      ConvMode
 	Costs     Costs
@@ -123,18 +127,11 @@ type Config struct {
 	// first thread that migrates through it.
 	VetOnLoad bool
 	// LegacyDispatch forces the byte-at-a-time reference emulator
-	// (arch.Step / arch.RunLegacy) instead of the predecoded instruction
-	// cache. Observable behavior — traps, cycle counts, memory images,
-	// printed output — is identical either way; the differential tests
-	// flip this knob to prove it. The legacy path is ~7x slower.
+	// (arch.Step / arch.RunLegacy) instead of fused superinstructions.
+	// Observable behavior — traps, cycle counts, memory images, printed
+	// output — is identical either way; the differential tests flip this
+	// knob to prove it. The legacy path is several times slower.
 	LegacyDispatch bool
-	// NoFuse disables superinstruction fusion (arch.Fuse), keeping
-	// dispatch on the plain predecoded path. Observable behavior is
-	// identical — fusion only changes how fast the emulator moves
-	// between bus stops — so this exists purely as a triage escape
-	// hatch, mirroring LegacyDispatch. Implied by LegacyDispatch (no
-	// predecoded cache means nothing to fuse).
-	NoFuse bool
 	// Trace, when set, receives kernel event lines (for debugging). It is
 	// installed as a text sink over the structured event stream (see
 	// internal/obs): every emitted event renders as one legacy-style line.
@@ -171,14 +168,15 @@ type Config struct {
 	// instead of its whole cohort in one batched transfer. Escape hatch and
 	// the control arm of the batching experiment (embench auto).
 	AutoNoBatch bool
-	// SharpenLiveSets uses the per-stop LiveVars masks the compiler embeds
-	// in bus-stop tables to canonicalize statically dead int/real frame
-	// slots (substituting the canonical zero word) while marshalling. The
-	// wire format, converter call sequence, simulated charges and event
-	// stream are byte-identical to the unsharpened path — only the payload
-	// bits of words no execution can read change — so this is on by
-	// default; cmd/emrun's -nosharpen flag clears it.
-	SharpenLiveSets bool
+	// NoSharpen turns off live-set sharpening. Sharpening uses the
+	// per-stop LiveVars masks the compiler embeds in bus-stop tables to
+	// canonicalize statically dead int/real frame slots (substituting the
+	// canonical zero word) while marshalling. The wire format, converter
+	// call sequence, simulated charges and event stream are byte-identical
+	// either way — only the payload bits of words no execution can read
+	// change — so sharpening is on by default; the unsharpened path is the
+	// reference the differential tests compare against.
+	NoSharpen bool
 	// DirReplicas, when > 0, arms the replicated object directory (emdir,
 	// internal/dir): every move commit drives a Paxos decree round
 	// recording the object's new home across that many replicas of its
@@ -199,8 +197,8 @@ type Config struct {
 	// to the lease-free directory.
 	DirLeaseMicros int64
 	// DirNoGroupDecrees disables batched group decrees: each member of a
-	// MoveGroup cohort then drives its own one-slot decree round. Escape hatch and the control arm of the batching experiment
-	// (embench dir).
+	// MoveGroup cohort then drives its own one-slot decree round: the
+	// control arm of the batching experiment (embench dir).
 	DirNoGroupDecrees bool
 	// LinkLatencies adds per-link extra propagation latency to the netsim
 	// topology (on top of the network's shared LatencyMicros; see
@@ -218,15 +216,15 @@ type LinkLatency struct {
 	ExtraMicros int64
 }
 
-// DefaultConfig returns the standard configuration.
+// DefaultConfig returns the standard configuration, the one NewCluster
+// runs from a zero Config.
 func DefaultConfig() Config {
 	return Config{
-		Mode:            ModeEnhanced,
-		Costs:           DefaultCosts(),
-		MemBytes:        8 << 20,
-		StackSize:       64 << 10,
-		SliceInstrs:     200000,
-		SharpenLiveSets: true,
+		Mode:        ModeEnhanced,
+		Costs:       DefaultCosts(),
+		MemBytes:    8 << 20,
+		StackSize:   64 << 10,
+		SliceInstrs: 200000,
 	}
 }
 
@@ -298,6 +296,11 @@ func NewCluster(prog *codegen.Program, models []netsim.MachineModel, cfg Config)
 			}
 		}
 	}
+	def := DefaultConfig()
+	cfg.Costs = cmp.Or(cfg.Costs, def.Costs)
+	cfg.MemBytes = cmp.Or(cfg.MemBytes, def.MemBytes)
+	cfg.StackSize = cmp.Or(cfg.StackSize, def.StackSize)
+	cfg.SliceInstrs = cmp.Or(cfg.SliceInstrs, def.SliceInstrs)
 	c := &Cluster{
 		Config:  cfg,
 		Sim:     netsim.NewSim(),

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/lang/parser"
 	"repro/internal/lang/types"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 )
 
 // compileSrc compiles source through the full pipeline.
@@ -403,6 +405,29 @@ end Main
 	}
 	if c1.Sim.Now() != c2.Sim.Now() {
 		t.Errorf("nondeterministic time: %d vs %d", c1.Sim.Now(), c2.Sim.Now())
+	}
+}
+
+// TestZeroConfigIsDefault: the zero Config is the standard configuration.
+// NewCluster fills the zero cost model, memory size, stack size and slice
+// budget with DefaultConfig's values, so kilroy's tour prints the same
+// lines, emits the same event log and leaves every node's memory image
+// byte-identical either way.
+func TestZeroConfigIsDefault(t *testing.T) {
+	src := kilroySrc(t)
+	models := []netsim.MachineModel{mSun3, mHP1, mSPARC, mVAX}
+	zero := runSrc(t, src, models, Config{})
+	def := runSrc(t, src, models, DefaultConfig())
+	if got, want := zero.OutputText(), def.OutputText(); got != want || got == "" {
+		t.Errorf("printed lines differ:\n%s\nvs default\n%s", got, want)
+	}
+	if !bytes.Equal(obs.EventLog(zero.Rec), obs.EventLog(def.Rec)) {
+		t.Error("event logs differ from the default configuration's")
+	}
+	for i := range def.Nodes {
+		if !bytes.Equal(zero.Nodes[i].Mem, def.Nodes[i].Mem) {
+			t.Errorf("node %d memory image differs from the default configuration's", i)
+		}
 	}
 }
 

@@ -494,7 +494,7 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 			// returns, and drop the local fragment.
 			tx.do(func() {
 				n.movedFrags[fr.ID] = dest
-				n.unscheduleFrag(fr)
+				n.killFrag(fr)
 			})
 		}
 		if tx.live {
@@ -584,26 +584,12 @@ func (n *Node) mintFragID() uint32 {
 	return uint32(n.ID)<<24 | n.fragCtr
 }
 
-// unscheduleFrag removes a fragment whose execution migrated away,
-// reclaiming its stack region (any local remainder pieces were relocated to
-// their own regions).
-func (n *Node) unscheduleFrag(f *Frag) {
-	f.Status = FragStateDead
-	delete(n.frags, f.ID)
-	n.free(f.stackBase, n.cluster.StackSize)
-}
-
 // adoptRemainder creates a fragment for a local remainder piece [a..b] of
 // frames, relocating its records into a fresh stack region (the records
 // above and below belonged to other pieces).
 func (n *Node) adoptRemainder(orig *Frag, frames []frameInfo, a, b int, id uint32) *Frag {
-	base, err := n.alloc(n.cluster.StackSize)
-	if err != nil {
-		panic(fmt.Sprintf("kernel: %v", err))
-	}
-	nf := &Frag{ID: id, Status: FragStateBlockedCall, Link: Link{Node: -1},
-		stackBase: base, stackLimit: base + n.cluster.StackSize, waitNode: -1}
-	n.frags[id] = nf
+	nf := n.newFragment(id, FragStateBlockedCall, Link{Node: -1})
+	base := nf.stackBase
 	// Relocate oldest-first so SavedFP links point downward correctly.
 	place := base
 	newFPs := make([]uint32, b-a+1)
@@ -838,13 +824,7 @@ func (n *Node) installArray(src int, p *wire.Move, conv wire.Converter, hints ma
 // reconstructed.
 func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 	conv wire.Converter, hints map[oid.OID]int) *Frag {
-	base, err := n.alloc(n.cluster.StackSize)
-	if err != nil {
-		panic(fmt.Sprintf("kernel: %v", err))
-	}
-	f := &Frag{ID: wf.FragID, Link: Link{Node: wf.LinkNode, Frag: wf.LinkFrag},
-		stackBase: base, stackLimit: base + n.cluster.StackSize, waitNode: -1}
-	n.frags[f.ID] = f
+	f := n.newFragment(wf.FragID, FragStateReady, Link{Node: wf.LinkNode, Frag: wf.LinkFrag})
 
 	type convFrame struct {
 		lf    *loadedFunc
@@ -894,7 +874,7 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 	// the source-side unwinding.
 	objAddr := n.mustAddr(obj)
 	var regs [16]uint32
-	place := base
+	place := f.stackBase
 	fps := make([]uint32, len(cfs))
 	for i := len(cfs) - 1; i >= 0; i-- {
 		cf := cfs[i]
@@ -905,13 +885,11 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 		fp := place
 		place += uint32(t.Size)
 		fps[i] = fp
-		for b := fp; b < place; b++ {
-			n.Mem[b] = 0
-		}
+		clear(n.Mem[fp:place])
 		// Control words.
 		if i == len(cfs)-1 {
 			// Oldest: caller is the fragment Link.
-			n.st32(fp+uint32(t.SavedFPOff), base)
+			n.st32(fp+uint32(t.SavedFPOff), f.stackBase)
 			n.st32(fp+uint32(t.RetDescOff), descNone)
 			n.st32(fp+uint32(t.RetPCOff), 0)
 		} else {

@@ -32,14 +32,12 @@ type loadedFunc struct {
 	idx     int
 	desc    uint32 // node-local code descriptor (stored in AR RetDesc words)
 	litBase uint32 // address of the literal table (one ref word per string)
-	// pd is the predecoded instruction cache runSlice dispatches over; nil
-	// forces the legacy byte-at-a-time path (Config.LegacyDispatch, or a
-	// hand-built stream that does not predecode).
-	pd *arch.Predecoded
-	// fz is the fused superinstruction program compiled from pd exactly
-	// once, here at load (Config.NoFuse disables it). Migration
-	// re-install reuses the loadedFunc via codeByOID, so a function is
-	// never re-fused no matter how many threads move through it.
+	// fz is the fused superinstruction program runSlice dispatches over,
+	// compiled exactly once, here at load. Migration re-install reuses the
+	// loadedFunc via codeByOID, so a function is never re-fused no matter
+	// how many threads move through it. nil forces the legacy
+	// byte-at-a-time path (Config.LegacyDispatch, or a hand-built stream
+	// that does not predecode).
 	fz *arch.Fused
 	// plans caches compiled conversion plans per (bus stop, peer ISA); see
 	// plan.go. Lazily filled on first MD→MI conversion at each stop.
@@ -153,9 +151,9 @@ type Node struct {
 	// MarshaledVarSlots counts frame-variable slots this node marshaled
 	// onto the wire; CanonicalizedVarSlots counts the subset whose payload
 	// was replaced by the canonical zero because the stop's LiveVars mask
-	// proved them dead (Config.SharpenLiveSets). Plain counters, not obs
-	// metrics: they are read by tests and embench, and must not perturb
-	// allocation counts or the event stream.
+	// proved them dead (live-set sharpening; see Config.NoSharpen). Plain
+	// counters, not obs metrics: they are read by tests and embench, and
+	// must not perturb allocation counts or the event stream.
 	MarshaledVarSlots     uint64
 	CanonicalizedVarSlots uint64
 
@@ -261,9 +259,7 @@ func (n *Node) alloc(size uint32) (uint32, error) {
 	if blocks := n.freeLists[size]; len(blocks) > 0 {
 		a := blocks[len(blocks)-1]
 		n.freeLists[size] = blocks[:len(blocks)-1]
-		for i := a; i < a+size; i++ {
-			n.Mem[i] = 0
-		}
+		clear(n.Mem[a : a+size])
 		return a, nil
 	}
 	if int(n.heapNext)+int(size) > len(n.Mem) {
@@ -281,9 +277,7 @@ func (n *Node) alloc(size uint32) (uint32, error) {
 	}
 	a := n.heapNext
 	n.heapNext += size
-	for i := a; i < a+size; i++ {
-		n.Mem[i] = 0
-	}
+	clear(n.Mem[a : a+size])
 	return a, nil
 }
 
@@ -378,15 +372,15 @@ func (n *Node) loadCode(code oid.OID) (*loadedCode, error) {
 	for i, fc := range ac.Funcs {
 		lf := &loadedFunc{code: lc, fc: fc, idx: i, desc: uint32(len(n.descs))}
 		if !n.cluster.LegacyDispatch {
-			lf.pd = fc.Decoded
-			if lf.pd == nil {
+			pd := fc.Decoded
+			if pd == nil {
 				// Hand-built FuncCode (tests, analyzers): predecode at
-				// load; a stream that does not decode end-to-end keeps
-				// pd nil and runs on the legacy path, which reports the
+				// load; a stream that does not decode end-to-end stays
+				// unfused and runs on the legacy path, which reports the
 				// bad instruction if execution ever reaches it.
-				lf.pd, _ = arch.Predecode(n.Spec, fc.Code)
+				pd, _ = arch.Predecode(n.Spec, fc.Code)
 			}
-			if lf.pd != nil && !n.cluster.NoFuse {
+			if pd != nil {
 				plan := fc.Runs
 				if plan == nil {
 					// Hand-built FuncCode: plan here, bounding runs at
@@ -395,9 +389,9 @@ func (n *Node) loadCode(code oid.OID) (*loadedCode, error) {
 					if fc.Stops != nil {
 						stopPCs = fc.Stops.PCs()
 					}
-					plan = arch.PlanFusion(lf.pd, stopPCs)
+					plan = arch.PlanFusion(pd, stopPCs)
 				}
-				lf.fz = arch.Fuse(n.Spec, lf.pd, plan)
+				lf.fz = arch.Fuse(n.Spec, pd, plan)
 			}
 		}
 		// Literal table: one word per string-pool entry, holding a
@@ -559,8 +553,6 @@ func (n *Node) runSlice(f *Frag) {
 		)
 		if fz := f.fn.fz; fz != nil {
 			tr, cycles, instrs, err = n.fused.Run(n.Spec, fz, &f.CPU, n.Mem, n.cluster.SliceInstrs)
-		} else if pd := f.fn.pd; pd != nil {
-			tr, cycles, instrs, err = arch.RunPredecoded(n.Spec, pd, &f.CPU, n.Mem, n.cluster.SliceInstrs)
 		} else {
 			tr, cycles, instrs, err = arch.RunLegacy(n.Spec, &f.CPU, f.fn.fc.Code, n.Mem, n.cluster.SliceInstrs)
 		}
@@ -619,9 +611,10 @@ func (n *Node) faultErr(f *Frag, cause error, msg string) {
 	n.killFrag(f)
 }
 
-// killFrag removes a fragment and reclaims its stack region (each live
-// fragment owns exactly one region; split remainders are relocated into
-// fresh regions by adoptRemainder).
+// killFrag removes a fragment that died or whose execution migrated away,
+// and reclaims its stack region (each live fragment owns exactly one
+// region; split remainders are relocated into fresh regions by
+// adoptRemainder).
 func (n *Node) killFrag(f *Frag) {
 	f.Status = FragStateDead
 	delete(n.frags, f.ID)

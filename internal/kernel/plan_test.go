@@ -154,7 +154,7 @@ func warmPlanRoundtrip(t *testing.T, cfg Config) (n *Node, pl *convPlan, want, b
 // alloc pin is not measuring a path that silently stopped converting.
 func TestWarmPlanConversionAllocs(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SharpenLiveSets = false
+	cfg.NoSharpen = true
 	_, _, want, back, allocs := warmPlanRoundtrip(t, cfg)
 	if allocs > 1 {
 		t.Errorf("warm MD→MI→MD conversion allocates %.1f allocs/run, want <= 1", allocs)

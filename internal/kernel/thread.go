@@ -91,17 +91,23 @@ func (f *Frag) topName() string {
 	return f.fn.name()
 }
 
-// newFrag allocates a fragment with a fresh stack region.
+// newFrag allocates a new local fragment with an empty stack.
 func (n *Node) newFrag() *Frag {
-	n.fragCtr++
-	id := uint32(n.ID)<<24 | n.fragCtr
+	f := n.newFragment(n.mintFragID(), FragStateReady, Link{Node: -1})
+	f.CPU.FP = f.stackBase // empty: first frame goes at base
+	return f
+}
+
+// newFragment registers fragment id with a fresh stack region of its own
+// (killFrag reclaims it). Every fragment on a node — new, relocated split
+// remainder, or arrived by migration — is created here.
+func (n *Node) newFragment(id uint32, status FragState, link Link) *Frag {
 	base, err := n.alloc(n.cluster.StackSize)
 	if err != nil {
 		panic(fmt.Sprintf("kernel: %v", err))
 	}
-	f := &Frag{ID: id, Status: FragStateReady, Link: Link{Node: -1},
+	f := &Frag{ID: id, Status: status, Link: link,
 		stackBase: base, stackLimit: base + n.cluster.StackSize, waitNode: -1}
-	f.CPU.FP = base // empty: first frame goes at base
 	n.frags[id] = f
 	return f
 }
